@@ -262,7 +262,9 @@ class Workload:
 WORKLOADS = {w.name: w for w in (
     Workload("cli-defaults", _cli_defaults, 14, 1),
     Workload("dense-sections", _dense_sections, 8, 0),
-    Workload("cantor-exact", _cantor_exact, 6, 0),
+    # replays cantor-onb: replaying a random-section operation would count its
+    # pencil outcome twice and double the run-to-run spread of the failure count
+    Workload("cantor-exact", _cantor_exact, 6, 3),
 )}
 
 
