@@ -146,6 +146,7 @@ def _extension_counts(args, kwargs, result):
     return {"entries": int(np.broadcast(np.asarray(s), np.asarray(b)).size)}
 
 
+PACKAGE = "rkboundary"
 QUADRATURE = ("periodic_uniform", "gauss_hermite_plane", "cantor_ifs",
               "band_gauss_legendre", "atomic", "cantor_exact")
 
@@ -175,9 +176,8 @@ TARGETS = (
 class Tracer:
     """Installs span wrappers into the package's namespaces; ``with`` restores them."""
 
-    def __init__(self, recorder: Recorder, package: str = "rkboundary"):
+    def __init__(self, recorder: Recorder):
         self.recorder = recorder
-        self.package = package
         self._patched: list = []
 
     def _wrap(self, func, name, counter):
@@ -197,7 +197,7 @@ class Tracer:
         return wrapper
 
     def install(self) -> "Tracer":
-        pkg = self.package
+        pkg = PACKAGE
         importlib.import_module(f"{pkg}.cli")
         modules = [m for n, m in list(sys.modules.items())
                    if m is not None and (n == pkg or n.startswith(pkg + "."))]

@@ -156,7 +156,8 @@ def test_child_exit_code_and_rss_are_collected(tmp_path):
     assert outcome.exit_code == 3 and not outcome.timed_out and outcome.max_rss_kb > 0
 
 
-@pytest.mark.parametrize("n, index, percentile", [(40, 29, 75.0), (11, 0, 100.0 / 11), (5, 4, 100.0)])
+@pytest.mark.parametrize("n, index, percentile",
+                         [(40, 29, 75.0), (11, 0, 100.0 / 11), (5, 4, 100.0)])
 def test_tail_latency_keeps_ten_samples_above(n, index, percentile):
     values = [float(v) for v in range(n)]
     assert run.tail_latency(values[::-1]) == (values[index], percentile)
