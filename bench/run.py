@@ -388,6 +388,26 @@ def measure_layers(workload, seed: int, seconds: int, root: Path, work: Path):
     return results, metrics, notes
 
 
+def probe_defects(workload, root: Path, work: Path) -> list:
+    """Run the known-defect probes once, untimed; one note per probe.
+
+    Their outcomes are printed, not counted in ``attempted`` or ``failed``.
+    """
+    probes = workloads.defect_probes()
+    workloads.write_inputs(probes, work)
+    env = child_env(root)
+    notes = []
+    for op in probes:
+        r = run_process_op(workload, op, work, env, {})
+        call = f"{op.command} {' '.join(op.args)}".replace(f"{workloads.WORK}/", "")
+        if r.failed:
+            notes.append(f"known defect, not counted: {call}: "
+                         f"{'; '.join(p.text for p in r.problems)[:200]}")
+        else:
+            notes.append(f"known defect no longer reproduces: {call}")
+    return notes
+
+
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -410,6 +430,7 @@ def main(argv=None) -> int:
     measure = measure_layers if args.trace else measure_processes
     try:
         results, metrics, notes = measure(workload, args.seed, args.seconds, root, work)
+        notes += probe_defects(workload, root, work)
     except SetupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracle
@@ -86,6 +87,28 @@ def test_generator_is_deterministic_per_seed_and_varies_across_seeds():
         assert len(replays) == 2
         for op in replays:
             assert op.argv(Path("w")) == first[op.replay_of].argv(Path("w"))
+
+
+def test_separated_points_keep_one_point_per_cell():
+    rng = np.random.default_rng(1)
+    x = np.asarray(workloads.separated_points(rng, "sinc", 50))
+    assert np.all(np.diff(x) >= 0.6)
+    for kernel, n in (("szego", 60), ("szego", 200), ("cantor4", 8), ("bargmann", 6)):
+        z = np.asarray([complex(*p) for p in workloads.separated_points(rng, kernel, n)])
+        assert np.ptp(np.abs(z)) < 1e-12
+        angle = np.sort(np.angle(z) % (2 * np.pi))
+        gaps = np.diff(np.append(angle, angle[0] + 2 * np.pi))
+        assert gaps.min() >= 0.5 * 2 * np.pi / n - 1e-12
+
+
+def test_defect_probes_are_fixed_and_kept_out_of_the_timed_schedules():
+    probes = workloads.defect_probes()
+    assert probes == workloads.defect_probes()
+    probe_ids = {op.op_id for op in probes}
+    for workload in workloads.WORKLOADS.values():
+        ops = workload.schedule(3, 4 * workload.cycle_length)
+        assert not probe_ids & {op.op_id for op in ops}
+        assert all("--grid=0:1:0" not in op.args for op in ops)
 
 
 def test_covered_length_merges_overlaps_and_clips_to_the_parent():
