@@ -43,6 +43,7 @@ from .gaussian import (
     SampleBatch,
     build_ensemble,
     covariance_defect,
+    covariance_gap,
     empirical_covariance,
     sample,
 )
@@ -90,6 +91,7 @@ from .measures import (
 from .reconstruct import (
     cantor_coefficients,
     in_lambda4,
+    lambda4_frequency_matrix,
     lambda4_set,
     parseval_defect,
     parseval_table,
@@ -162,9 +164,11 @@ __all__ = [
     "build_ensemble",
     "sample",
     "empirical_covariance",
+    "covariance_gap",
     "covariance_defect",
     # reconstruction
     "lambda4_set",
+    "lambda4_frequency_matrix",
     "in_lambda4",
     "shannon_reconstruct",
     "cantor_coefficients",

@@ -26,8 +26,8 @@ from .kernels import (
     SectionError,
     h_norm_sq,
 )
-from .measures import QuadMeasure, cantor4_fourier, pushforward
-from .reconstruct import lambda4_set
+from .measures import QuadMeasure, pushforward
+from .reconstruct import lambda4_frequency_matrix
 
 __all__ = [
     "MEMBERSHIP_TOL",
@@ -59,21 +59,49 @@ RIDGE_FACTOR = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class BoundaryMatrix:
-    """Matrix of boundary products <K^B(s_i, .), K^B(s_j, .)> in L2 of the measure."""
+    """Matrix of boundary products <K^B(s_i, .), K^B(s_j, .)> in L2 of the measure,
+    kept with the evaluation it was assembled from.
+
+    On a node measure ``evaluation`` is E[i, k] = K^B(s_i, b_k) and
+    ``frequencies`` is None.  On the exact Cantor measure ``evaluation`` is the
+    power matrix P[i, j] = s_i ** lambda_j over the Lambda4 frequencies and
+    ``frequencies`` the matrix mu_hat(lambda_k - lambda_j).
+    """
 
     section: Section
     measure: QuadMeasure
     matrix: np.ndarray
+    evaluation: np.ndarray
+    frequencies: np.ndarray | None = None
+
+    def transform_norm_sq(self, coeffs: np.ndarray) -> float:
+        """Squared L2 norm of the boundary transform b -> sum_j c_j K^B(s_j, b).
+
+        Direct quadrature of |c E|^2 on node measures; the quadratic form of
+        the frequency matrix in the amplitudes c conj(P) on the exact one.
+        """
+        if self.frequencies is None:
+            vals = coeffs @ self.evaluation
+            return float(np.sum(self.measure.weights * np.abs(vals) ** 2))
+        amp = coeffs @ np.conj(self.evaluation)
+        return float(np.real(np.vdot(amp, self.frequencies @ amp))) * self.measure.scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MembershipReport:
-    """Factorization verdict: worst entrywise deviation plus the Carleson estimate."""
+    """Factorization verdict: worst entrywise deviation plus the Carleson estimate.
+
+    ``deviation`` holds the entrywise |N - conj(G)| and ``eigenvalues`` the
+    ascending pencil spectrum whose maximum is the estimate; both are empty,
+    and the scalars zero, for an empty section.
+    """
 
     defect: float
     carleson_constant: float
     tolerance: float
     passed: bool
+    deviation: np.ndarray
+    eigenvalues: np.ndarray
 
 
 def _check_pair(ext: BoundaryExtension, section: Section) -> None:
@@ -90,27 +118,18 @@ def boundary_gram(ext: BoundaryExtension, measure: QuadMeasure, section: Section
     the measure's Fourier transform instead of quadrature.
     """
     _check_pair(ext, section)
+    frequencies = None
     if measure.kind == "cantor-exact":
-        n = _cantor_exact_gram(ext.kernel, section.points) * measure.scale
+        if not isinstance(ext.kernel, Cantor4Kernel):
+            raise ValueError("the exact Cantor measure pairs only with the truncated Cantor kernel")
+        lam, frequencies = lambda4_frequency_matrix(ext.kernel.level)
+        e = section.points[:, None] ** lam[None, :]
+        n = (e @ frequencies @ e.conj().T) * measure.scale
     else:
         e = ext(section.points[:, None], measure.nodes[None, :])
         n = np.conj(e) @ (e * measure.weights).T
     n = 0.5 * (n + n.conj().T)
-    return BoundaryMatrix(section=section, measure=measure, matrix=n)
-
-
-def _cantor_exact_frequency_matrix(level: int) -> tuple[np.ndarray, np.ndarray]:
-    lam = lambda4_set(level)
-    diff = (lam[None, :] - lam[:, None]).astype(float)
-    return lam, cantor4_fourier(diff)
-
-
-def _cantor_exact_gram(kernel, points: np.ndarray) -> np.ndarray:
-    if not isinstance(kernel, Cantor4Kernel):
-        raise ValueError("the exact Cantor measure pairs only with the truncated Cantor kernel")
-    lam, m = _cantor_exact_frequency_matrix(kernel.level)
-    p = points[:, None] ** lam[None, :]
-    return p @ m @ p.conj().T
+    return BoundaryMatrix(section, measure, n, e, frequencies)
 
 
 def membership_defect(
@@ -126,10 +145,14 @@ def membership_defect(
     extensions satisfy exactly, and for real-symmetric kernels conj(G) = G.
     """
     nmat = boundary_gram(ext, measure, section).matrix
+    norm_form = np.conj(section.gram)
+    deviation = np.abs(nmat - norm_form)
     if section.size:
-        defect = float(np.max(np.abs(nmat - np.conj(section.gram))))
-        constant = float(pencil_eigenvalues(nmat, np.conj(section.gram))[-1])
+        eigenvalues = pencil_eigenvalues(nmat, norm_form)
+        defect = float(np.max(deviation))
+        constant = float(eigenvalues[-1])
     else:
+        eigenvalues = np.zeros(0)
         defect = 0.0
         constant = 0.0
     return MembershipReport(
@@ -137,6 +160,8 @@ def membership_defect(
         carleson_constant=constant,
         tolerance=float(tol),
         passed=bool(defect < tol),
+        deviation=deviation,
+        eigenvalues=eigenvalues,
     )
 
 
@@ -155,22 +180,23 @@ def boundary_transform(f: RkhsElement, ext: BoundaryExtension):
 
 
 def isometry_defect(f: RkhsElement, ext: BoundaryExtension, measure: QuadMeasure) -> float:
-    """|  ||f||^2 - ||transform of f||^2_{L2(mu)}  |, the L2 side by direct quadrature."""
-    native = h_norm_sq(f)
-    if measure.kind == "cantor-exact":
-        boundary_sq = _cantor_exact_l2_norm_sq(f, ext.kernel) * measure.scale
-    else:
-        vals = boundary_transform(f, ext)(measure.nodes)
-        boundary_sq = float(np.sum(measure.weights * np.abs(vals) ** 2))
-    return abs(native - boundary_sq)
+    """|  ||f||^2 - ||transform of f||^2_{L2(mu)}  | for one element.
+
+    Assembles the boundary matrix of the element's section.  To check many
+    elements of one section, assemble :func:`boundary_gram` once and compare
+    ``h_norm_sq`` with its ``transform_norm_sq`` per element.
+    """
+    return abs(h_norm_sq(f) - boundary_gram(ext, measure, f.section).transform_norm_sq(f.coeffs))
 
 
-def _cantor_exact_l2_norm_sq(f: RkhsElement, kernel) -> float:
-    if not isinstance(kernel, Cantor4Kernel):
-        raise ValueError("the exact Cantor measure pairs only with the truncated Cantor kernel")
-    lam, m = _cantor_exact_frequency_matrix(kernel.level)
-    amp = f.coeffs @ (np.conj(f.section.points)[:, None] ** lam[None, :])
-    return float(np.real(np.vdot(amp, m @ amp)))
+def _node_samples(boundary_values, measure: QuadMeasure) -> np.ndarray:
+    fv = np.asarray(
+        boundary_values(measure.nodes) if callable(boundary_values) else boundary_values,
+        dtype=complex,
+    )
+    if fv.shape != measure.nodes.shape:
+        raise ValueError("boundary samples must align with the quadrature nodes")
+    return fv
 
 
 def adjoint_apply(boundary_values, ext: BoundaryExtension, measure: QuadMeasure, s):
@@ -181,12 +207,7 @@ def adjoint_apply(boundary_values, ext: BoundaryExtension, measure: QuadMeasure,
     """
     if measure.nodes is None:
         raise ValueError("adjoint evaluation needs a node-based measure")
-    fv = np.asarray(
-        boundary_values(measure.nodes) if callable(boundary_values) else boundary_values,
-        dtype=complex,
-    )
-    if fv.shape != measure.nodes.shape:
-        raise ValueError("boundary samples must align with the quadrature nodes")
+    fv = _node_samples(boundary_values, measure)
     arr = np.asarray(s)
     cols = ext(np.atleast_1d(arr)[:, None], measure.nodes[None, :])
     out = (np.conj(cols) * measure.weights) @ fv
@@ -269,14 +290,10 @@ def onto_residual(
     """
     if measure.nodes is None:
         raise ValueError("projection needs a node-based measure")
-    fv = np.asarray(
-        boundary_values(measure.nodes) if callable(boundary_values) else boundary_values,
-        dtype=complex,
-    )
-    if fv.shape != measure.nodes.shape:
-        raise ValueError("boundary samples must align with the quadrature nodes")
-    nmat = boundary_gram(ext, measure, section).matrix
-    rhs = adjoint_apply(fv, ext, measure, section.points)
+    fv = _node_samples(boundary_values, measure)
+    bmat = boundary_gram(ext, measure, section)
+    nmat, e = bmat.matrix, bmat.evaluation
+    rhs = (np.conj(e) * measure.weights) @ fv  # the adjoint at the section points
     w = np.linalg.eigvalsh(nmat)
     ridged = bool(w[0] <= 1e-12 * max(float(w[-1]), 0.0))
     if ridged:
@@ -285,7 +302,6 @@ def onto_residual(
     else:
         solve_mat = nmat
     coeffs = np.linalg.solve(solve_mat, rhs)
-    e = ext(section.points[:, None], measure.nodes[None, :])
     resid = fv - coeffs @ e
     resid_sq = float(np.sum(measure.weights * np.abs(resid) ** 2))
     target_sq = float(np.sum(measure.weights * np.abs(fv) ** 2))

@@ -4,7 +4,7 @@ One subcommand corresponds to one verified identity.  Reports are emitted as
 JSON or CSV and are byte-stable for identical configurations; the wall-clock
 duration is printed on stderr rather than serialized, precisely so repeated
 runs compare equal.  Exit codes: 0 all verdicts pass, 1 a verdict failed,
-2 usage error, 3 numerical failure.
+2 usage error, 3 numerical or unexpected failure.
 """
 
 from __future__ import annotations
@@ -15,33 +15,28 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
-from ._linalg import NotHermitianError, NotPositiveSemidefiniteError
 from .boundary import (
     adjoint_apply,
     boundary_gram,
     boundary_transform,
     carleson_eigenvalues,
     commuting_diagram_defect,
-    isometry_defect,
     membership_defect,
     morphism_check,
     onto_residual,
-    pencil_eigenvalues,
 )
-from .gaussian import build_ensemble, empirical_covariance, sample
+from .gaussian import build_ensemble, covariance_gap, empirical_covariance, sample
 from .kernels import (
     BargmannKernel,
     Cantor4Kernel,
-    DomainError,
     ExplicitFeatureKernel,
     FrameExtension,
     PullbackExtension,
-    SectionError,
     SincKernel,
     SzegoKernel,
     build_section,
@@ -53,14 +48,14 @@ from .kernels import (
 from .measures import (
     atomic,
     band_gauss_legendre,
+    cantor4_fourier,
     cantor_exact,
     cantor_ifs,
-    cantor4_fourier,
     gauss_hermite_plane,
     periodic_uniform,
     pushforward,
 )
-from .reconstruct import lambda4_set, parseval_table, shannon_reconstruct
+from .reconstruct import lambda4_frequency_matrix, parseval_table, shannon_reconstruct
 
 EXIT_PASS = 0
 EXIT_VERDICT_FAIL = 1
@@ -69,29 +64,28 @@ EXIT_NUMERICAL = 3
 
 _GOLDEN = 0.6180339887498949
 
-_DEFAULT_MEASURE = {
-    "szego": "uniform:2048",
-    "bargmann": "gauss-hermite:64",
-    "cantor4": "cantor-exact",
-    "sinc": "band:160",
+# Every flag a command leaves unset resolves from this table, merged over the
+# defaults common to all commands.  The resolved values form the config echo.
+_COMMON_DEFAULTS = {"scale": 1.0, "seed": 0, "fmt": "json"}
+_COMMAND_DEFAULTS = {
+    "pd-check": {"kernel": "szego", "tol": 1e-10},
+    "factorize": {"kernel": "szego", "tol": 1e-8},
+    "isometry": {"kernel": "szego", "tol": 1e-8, "samples": 100},
+    "carleson": {"kernel": "szego", "tol": 1e-8},
+    "adjoint-roundtrip": {"kernel": "szego", "tol": 1e-9, "probes": 50},
+    "project": {"kernel": "szego", "tol": 1e-9, "freq": -1},
+    "gp": {"kernel": "szego", "tol": 0.05, "samples": 100000},
+    "shannon": {"tol": 1e-3, "shift": 0.3, "support": 1000, "grid": "-2:2:0.01"},
+    "cantor-onb": {"tol": 1e-12, "level": 6, "freq": 2, "parseval_max": 12},
+    "morphism": {"tol": 1e-12},
 }
-_DEFAULT_POINTS = {
-    "szego": "grid10",
-    "bargmann": "grid6",
-    "cantor4": "grid8",
-    "sinc": "grid5",
-}
-_DEFAULT_TOL = {
-    "pd-check": 1e-10,
-    "factorize": 1e-8,
-    "isometry": 1e-8,
-    "carleson": 1e-8,
-    "adjoint-roundtrip": 1e-9,
-    "project": 1e-9,
-    "gp": 0.05,
-    "shannon": 1e-3,
-    "cantor-onb": 1e-12,
-    "morphism": 1e-12,
+# Settings that depend on the kernel resolve only when the run builds its
+# objects, so they stay out of the config echo.
+_KERNEL_DEFAULTS = {
+    "szego": {"measure": "uniform:2048", "points": "grid10"},
+    "bargmann": {"measure": "gauss-hermite:64", "points": "grid6"},
+    "cantor4": {"measure": "cantor-exact", "points": "grid8", "level": 6},
+    "sinc": {"measure": "band:160", "points": "grid5"},
 }
 
 
@@ -104,23 +98,22 @@ class RunConfig:
     """Fully resolved invocation: one command plus its validated parameters."""
 
     command: str
-    kernel: str | None = None
-    level: int | None = None
-    measure: str | None = None
-    scale: float = 1.0
-    points: str | None = None
-    tol: float = 1e-8
-    seed: int = 0
-    samples: int | None = None
-    probes: int | None = None
-    freq: int | None = None
-    shift: float | None = None
-    support: int | None = None
-    grid: str | None = None
-    parseval_max: int | None = None
-    out: str | None = None
-    fmt: str = "json"
-    threads: int = 1
+    kernel: str | None
+    level: int | None
+    measure: str | None
+    scale: float
+    points: str | None
+    tol: float
+    seed: int
+    samples: int | None
+    probes: int | None
+    freq: int | None
+    shift: float | None
+    support: int | None
+    grid: str | None
+    parseval_max: int | None
+    out: str | None
+    fmt: str
 
 
 @dataclass
@@ -240,11 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rkboundary {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    def common(p, *, kernel=True, measure=True, points=True):
+    def command(name, summary, *, kernel=True, measure=True, points=True):
+        p = sub.add_parser(name, help=summary)
         if kernel:
-            p.add_argument("--kernel", choices=sorted(_DEFAULT_MEASURE), default=None)
+            p.add_argument("--kernel", choices=sorted(_KERNEL_DEFAULTS), default=None)
             p.add_argument("--level", type=_positive_int, default=None,
-                           help="cantor4 truncation level (default 6)")
+                           help="cantor4 truncation level "
+                                f"(default {_KERNEL_DEFAULTS['cantor4']['level']})")
         if measure:
             p.add_argument("--measure", default=None,
                            help="kind[:param], e.g. uniform:2048, gauss-hermite:64, "
@@ -258,70 +253,71 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
         p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
-        p.add_argument("--threads", type=_positive_int, default=None,
-                       help="1 guarantees byte-stable reports")
         p.add_argument("--config", default=None, help="JSON file with flag defaults")
+        return p, _COMMAND_DEFAULTS[name]
 
-    p = sub.add_parser("pd-check", help="positive-semidefiniteness of a sampled Gram matrix")
-    common(p, measure=False)
+    command("pd-check", "positive-semidefiniteness of a sampled Gram matrix", measure=False)
+    command("factorize", "boundary factorization defect of a kernel/measure pair")
 
-    p = sub.add_parser("factorize", help="boundary factorization defect of a kernel/measure pair")
-    common(p)
-
-    p = sub.add_parser("isometry", help="native-vs-boundary norm agreement on random elements")
-    common(p)
+    p, d = command("isometry", "native-vs-boundary norm agreement on random elements")
     p.add_argument("--samples", type=_positive_int, default=None,
-                   help="number of random coefficient vectors (default 100)")
+                   help=f"number of random coefficient vectors (default {d['samples']})")
 
-    p = sub.add_parser("carleson", help="largest boundary-to-native norm ratio on the section")
-    common(p)
+    command("carleson", "largest boundary-to-native norm ratio on the section")
 
-    p = sub.add_parser("adjoint-roundtrip", help="adjoint-after-transform identity on probe points")
-    common(p)
+    p, d = command("adjoint-roundtrip", "adjoint-after-transform identity on probe points")
     p.add_argument("--probes", type=_positive_int, default=None,
-                   help="number of probe points (default 50)")
+                   help=f"number of probe points (default {d['probes']})")
 
-    p = sub.add_parser("project", help="least-squares projection of a boundary exponential")
-    common(p)
+    p, d = command("project", "least-squares projection of a boundary exponential")
     p.add_argument("--freq", type=int, default=None,
-                   help="target exponential frequency (default -1)")
+                   help=f"target exponential frequency (default {d['freq']})")
 
-    p = sub.add_parser("gp", help="Gaussian sampling with kernel covariance")
-    common(p, measure=False)
+    p, d = command("gp", "Gaussian sampling with kernel covariance", measure=False)
     p.add_argument("--samples", type=_positive_int, default=None,
-                   help="Monte-Carlo sample count (default 100000)")
+                   help=f"Monte-Carlo sample count (default {d['samples']})")
 
-    p = sub.add_parser("shannon", help="cardinal-series reconstruction of a shifted sinc")
-    common(p, kernel=False, measure=False, points=False)
-    p.add_argument("--shift", type=float, default=None, help="target shift (default 0.3)")
+    p, d = command("shannon", "cardinal-series reconstruction of a shifted sinc",
+                   kernel=False, measure=False, points=False)
+    p.add_argument("--shift", type=float, default=None,
+                   help=f"target shift (default {d['shift']})")
     p.add_argument("--support", type=_positive_int, default=None,
-                   help="samples at integers in [-support, support] (default 1000)")
+                   help=f"samples at integers in [-support, support] (default {d['support']})")
     p.add_argument("--grid", default=None,
-                   help="evaluation grid start:stop:step (use --grid=-2:2:0.01 "
-                        "for negative starts)")
+                   help="evaluation grid start:stop:step with a positive step (default "
+                        f"{d['grid']}; write --grid=START:STOP:STEP for negative starts)")
 
-    p = sub.add_parser("cantor-onb", help="orthonormality and completeness diagnostics "
-                                          "of the Cantor exponential basis")
-    common(p, kernel=False, measure=False, points=False)
+    p, d = command("cantor-onb", "orthonormality and completeness diagnostics "
+                                 "of the Cantor exponential basis",
+                   kernel=False, measure=False, points=False)
     p.add_argument("--level", type=_positive_int, default=None,
-                   help="frequency set level (default 6)")
+                   help=f"frequency set level (default {d['level']})")
     p.add_argument("--freq", type=int, default=None,
-                   help="completeness probe frequency (default 2)")
+                   help=f"completeness probe frequency (default {d['freq']})")
     p.add_argument("--parseval-max", dest="parseval_max", type=_positive_int, default=None,
-                   help="largest level in the completeness table (default 12)")
+                   help=f"largest level in the completeness table (default {d['parseval_max']})")
 
-    p = sub.add_parser("morphism", help="pushforward ordering and commuting-diagram check "
-                                        "on the built-in atom refinement")
-    common(p, kernel=False, measure=False, points=False)
+    command("morphism", "pushforward ordering and commuting-diagram check "
+                        "on the built-in atom refinement",
+            kernel=False, measure=False, points=False)
 
     return parser
+
+
+# config files bypass argparse, so their numbers go through the flags' parsers here
+_FILE_VALUE_PARSERS = {
+    "level": _positive_int, "scale": _positive_float, "tol": _positive_float, "seed": int,
+    "samples": _positive_int, "probes": _positive_int, "freq": int, "shift": float,
+    "support": _positive_int, "parseval_max": _positive_int,
+}
 
 
 def parse_config(argv=None) -> RunConfig:
     """Parse flags, merge the optional config file, and resolve defaults.
 
-    Flags always override file values.  Unknown file keys, malformed numbers,
-    and nonpositive tolerances are usage errors.
+    Flags always override file values, and both override the command's row
+    of ``_COMMAND_DEFAULTS``.  Unknown file keys, malformed numbers, and
+    values a flag would reject are usage errors.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -341,51 +337,30 @@ def parse_config(argv=None) -> RunConfig:
             attr = key.replace("-", "_")
             if attr not in values or attr == "command":
                 raise UsageError(f"unknown config key {key!r}")
-            if values[attr] is None:
-                values[attr] = val
+            if values[attr] is not None:
+                continue
+            parse = _FILE_VALUE_PARSERS.get(attr)
+            try:
+                values[attr] = val if parse is None else parse(str(val))
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                raise UsageError(f"config key {key!r}: {exc}") from None
 
-    command = values["command"]
-    resolved: dict = {"command": command}
-    if values.get("kernel") is not None or command in (
-        "pd-check", "factorize", "isometry", "carleson", "adjoint-roundtrip", "project", "gp",
-    ):
-        resolved["kernel"] = values.get("kernel") or "szego"
-    resolved["level"] = values.get("level")
-    resolved["measure"] = values.get("measure")
-    resolved["scale"] = float(values.get("scale") or 1.0)
-    resolved["points"] = values.get("points")
-    resolved["tol"] = float(values["tol"]) if values.get("tol") is not None else _DEFAULT_TOL[command]
-    resolved["seed"] = int(values["seed"]) if values.get("seed") is not None else 0
-    if command == "isometry":
-        resolved["samples"] = int(values.get("samples") or 100)
-    if command == "gp":
-        resolved["samples"] = int(values.get("samples") or 100000)
-    if command == "adjoint-roundtrip":
-        resolved["probes"] = int(values.get("probes") or 50)
-    if command == "project":
-        resolved["freq"] = int(values["freq"]) if values.get("freq") is not None else -1
-    if command == "shannon":
-        resolved["shift"] = float(values["shift"]) if values.get("shift") is not None else 0.3
-        resolved["support"] = int(values.get("support") or 1000)
-        resolved["grid"] = values.get("grid") or "-2:2:0.01"
-    if command == "cantor-onb":
-        resolved["level"] = int(values.get("level") or 6)
-        resolved["freq"] = int(values["freq"]) if values.get("freq") is not None else 2
-        resolved["parseval_max"] = int(values.get("parseval_max") or 12)
-    resolved["out"] = values.get("out")
-    resolved["fmt"] = values.get("fmt") or "json"
-    resolved["threads"] = int(values.get("threads") or 1)
-
-    if not resolved["tol"] > 0:
-        raise UsageError("tolerance must be positive")
-    if not resolved["scale"] > 0:
-        raise UsageError("scale must be positive")
-    return RunConfig(**resolved)
+    defaults = {**_COMMON_DEFAULTS, **_COMMAND_DEFAULTS[values["command"]]}
+    return RunConfig(**{
+        f.name: defaults.get(f.name) if values.get(f.name) is None else values[f.name]
+        for f in fields(RunConfig)
+    })
 
 
 # ---------------------------------------------------------------------------
 # object construction from config
 # ---------------------------------------------------------------------------
+
+def _kernel_setting(cfg: RunConfig, name: str):
+    """The value given for a flag, else the default of the configured kernel."""
+    value = getattr(cfg, name)
+    return _KERNEL_DEFAULTS[cfg.kernel][name] if value is None else value
+
 
 def make_kernel(cfg: RunConfig):
     if cfg.kernel == "szego":
@@ -393,7 +368,7 @@ def make_kernel(cfg: RunConfig):
     if cfg.kernel == "bargmann":
         return BargmannKernel()
     if cfg.kernel == "cantor4":
-        return Cantor4Kernel(level=cfg.level or 6)
+        return Cantor4Kernel(level=_kernel_setting(cfg, "level"))
     if cfg.kernel == "sinc":
         return SincKernel()
     raise UsageError(f"unknown kernel {cfg.kernel!r}")
@@ -401,25 +376,26 @@ def make_kernel(cfg: RunConfig):
 
 _NODE_REQUIRED_COMMANDS = {"adjoint-roundtrip", "project"}
 
+# quadrature rules by descriptor kind, with the node count a bare kind gets
+_QUADRATURES = {
+    "uniform": (periodic_uniform, 2048),
+    "gauss-hermite": (gauss_hermite_plane, 64),
+    "cantor-ifs": (cantor_ifs, 12),
+    "band": (band_gauss_legendre, 160),
+}
 
-def make_measure(cfg: RunConfig, kernel):
-    desc = cfg.measure
-    if desc is None:
-        desc = _DEFAULT_MEASURE[kernel.name]
-        if cfg.command in _NODE_REQUIRED_COMMANDS and desc == "cantor-exact":
-            desc = "cantor-ifs:10"  # these commands sample boundary values at nodes
+
+def make_measure(cfg: RunConfig):
+    desc = _kernel_setting(cfg, "measure")
+    if cfg.measure is None and cfg.command in _NODE_REQUIRED_COMMANDS and desc == "cantor-exact":
+        desc = "cantor-ifs:10"  # these commands sample boundary values at nodes
     kind, _, param = desc.partition(":")
     try:
-        if kind == "uniform":
-            return periodic_uniform(int(param or 2048), scale=cfg.scale)
-        if kind == "gauss-hermite":
-            return gauss_hermite_plane(int(param or 64), scale=cfg.scale)
-        if kind == "cantor-ifs":
-            return cantor_ifs(int(param or 12), scale=cfg.scale)
+        if kind in _QUADRATURES:
+            rule, nodes = _QUADRATURES[kind]
+            return rule(int(param) if param else nodes, scale=cfg.scale)
         if kind == "cantor-exact":
             return cantor_exact(scale=cfg.scale)
-        if kind == "band":
-            return band_gauss_legendre(int(param or 160), scale=cfg.scale)
         if kind == "atomic":
             return _atomic_from_file(param, cfg.scale)
     except ValueError as exc:
@@ -477,7 +453,7 @@ def builtin_grid(n: int, kernel) -> np.ndarray:
 
 
 def make_points(cfg: RunConfig, kernel) -> np.ndarray:
-    src = cfg.points or _DEFAULT_POINTS[kernel.name]
+    src = _kernel_setting(cfg, "points")
     match = re.fullmatch(r"grid(\d+)", src)
     if match:
         return builtin_grid(int(match.group(1)), kernel)
@@ -528,22 +504,40 @@ def _echo(cfg: RunConfig) -> dict:
     return {k: v for k, v in asdict(cfg).items() if v is not None and k != "out"}
 
 
+def _spectrum_table(eigenvalues) -> dict:
+    return {
+        "columns": ["index", "eigenvalue"],
+        "rows": [[i, float(w)] for i, w in enumerate(eigenvalues)],
+    }
+
+
+def _entry_table(matrix: np.ndarray, column: str) -> dict:
+    return {
+        "columns": ["i", "j", column],
+        "rows": [[i, j, float(matrix[i, j])]
+                 for i in range(matrix.shape[0]) for j in range(matrix.shape[1])],
+    }
+
+
+def _boundary_setup(cfg: RunConfig):
+    """Section, measure and canonical boundary extension of a section runner."""
+    kernel = make_kernel(cfg)
+    section = build_section(kernel, make_points(cfg, kernel))
+    return section, make_measure(cfg), kernel.boundary_extension()
+
+
 def _run_pd_check(cfg: RunConfig) -> Report:
     kernel = make_kernel(cfg)
     points = np.atleast_1d(kernel.validate_points(make_points(cfg, kernel)))
     gram = kernel.gram(points)
     verdict = pd_check(gram, cfg.tol)
-    eigenvalues = np.linalg.eigvalsh(gram)
     report = Report(command=cfg.command, config=_echo(cfg))
     report.scalars = {
         "min_eigenvalue": verdict.min_eigenvalue,
         "threshold": verdict.threshold,
         "points": int(points.shape[0]),
     }
-    report.tables["eigenvalues"] = {
-        "columns": ["index", "eigenvalue"],
-        "rows": [[i, float(w)] for i, w in enumerate(eigenvalues)],
-    }
+    report.tables["eigenvalues"] = _spectrum_table(np.linalg.eigvalsh(gram))
     report.add_verdict(
         "positive-semidefinite",
         verdict.min_eigenvalue,
@@ -554,48 +548,30 @@ def _run_pd_check(cfg: RunConfig) -> Report:
 
 
 def _run_factorize(cfg: RunConfig) -> Report:
-    kernel = make_kernel(cfg)
-    section = build_section(kernel, make_points(cfg, kernel))
-    measure = make_measure(cfg, kernel)
-    ext = kernel.boundary_extension()
-    nmat = boundary_gram(ext, measure, section).matrix
-    deviation = np.abs(nmat - np.conj(section.gram))
-    defect = float(np.max(deviation))
-    eigenvalues = pencil_eigenvalues(nmat, np.conj(section.gram))
+    section, measure, ext = _boundary_setup(cfg)
+    member = membership_defect(ext, measure, section, tol=cfg.tol)
     report = Report(command=cfg.command, config=_echo(cfg))
     report.scalars = {
-        "membership_defect": defect,
-        "carleson_constant_estimate": float(eigenvalues[-1]),
+        "membership_defect": member.defect,
+        "carleson_constant_estimate": member.carleson_constant,
         "total_mass": measure.total_mass,
     }
-    report.tables["factorization_deviation"] = {
-        "columns": ["i", "j", "abs_deviation"],
-        "rows": [
-            [i, j, float(deviation[i, j])]
-            for i in range(section.size)
-            for j in range(section.size)
-        ],
-    }
-    report.tables["pencil_eigenvalues"] = {
-        "columns": ["index", "eigenvalue"],
-        "rows": [[i, float(w)] for i, w in enumerate(eigenvalues)],
-    }
-    report.add_verdict("membership", defect, cfg.tol, defect < cfg.tol)
+    report.tables["factorization_deviation"] = _entry_table(member.deviation, "abs_deviation")
+    report.tables["pencil_eigenvalues"] = _spectrum_table(member.eigenvalues)
+    report.add_verdict("membership", member.defect, cfg.tol, member.passed)
     return report
 
 
 def _run_isometry(cfg: RunConfig) -> Report:
-    kernel = make_kernel(cfg)
-    section = build_section(kernel, make_points(cfg, kernel))
-    measure = make_measure(cfg, kernel)
-    ext = kernel.boundary_extension()
+    section, measure, ext = _boundary_setup(cfg)
+    bmat = boundary_gram(ext, measure, section)
     rng = np.random.default_rng(cfg.seed)
     rows = []
     worst = 0.0
-    for trial in range(cfg.samples or 100):
+    for trial in range(cfg.samples):
         f = element(section, _random_coeffs(rng, section.size))
         norm_sq = h_norm_sq(f)
-        defect = isometry_defect(f, ext, measure)
+        defect = abs(norm_sq - bmat.transform_norm_sq(f.coeffs))
         normalized = defect / (1.0 + norm_sq)
         worst = max(worst, normalized)
         rows.append([trial, float(norm_sq), float(defect), float(normalized)])
@@ -610,10 +586,7 @@ def _run_isometry(cfg: RunConfig) -> Report:
 
 
 def _run_carleson(cfg: RunConfig) -> Report:
-    kernel = make_kernel(cfg)
-    section = build_section(kernel, make_points(cfg, kernel))
-    measure = make_measure(cfg, kernel)
-    ext = kernel.boundary_extension()
+    section, measure, ext = _boundary_setup(cfg)
     eigenvalues = carleson_eigenvalues(ext, measure, section)
     constant = float(eigenvalues[-1])
     gap = abs(constant - 1.0)
@@ -622,23 +595,17 @@ def _run_carleson(cfg: RunConfig) -> Report:
         "carleson_constant_estimate": constant,
         "total_mass": measure.total_mass,
     }
-    report.tables["pencil_eigenvalues"] = {
-        "columns": ["index", "eigenvalue"],
-        "rows": [[i, float(w)] for i, w in enumerate(eigenvalues)],
-    }
+    report.tables["pencil_eigenvalues"] = _spectrum_table(eigenvalues)
     report.add_verdict("unit-carleson-constant", gap, cfg.tol, gap <= cfg.tol)
     return report
 
 
 def _run_adjoint_roundtrip(cfg: RunConfig) -> Report:
-    kernel = make_kernel(cfg)
-    section = build_section(kernel, make_points(cfg, kernel))
-    measure = make_measure(cfg, kernel)
-    ext = kernel.boundary_extension()
+    section, measure, ext = _boundary_setup(cfg)
     rng = np.random.default_rng(cfg.seed)
     f = element(section, _random_coeffs(rng, section.size))
     samples = boundary_transform(f, ext)(measure.nodes)
-    probes = _domain_probes(kernel, rng, cfg.probes or 50)
+    probes = _domain_probes(section.kernel, rng, cfg.probes)
     roundtrip = adjoint_apply(samples, ext, measure, probes)
     direct = evaluate_element(f, probes)
     errors = np.abs(roundtrip - direct)
@@ -657,15 +624,11 @@ def _run_adjoint_roundtrip(cfg: RunConfig) -> Report:
 
 
 def _run_project(cfg: RunConfig) -> Report:
-    kernel = make_kernel(cfg)
-    section = build_section(kernel, make_points(cfg, kernel))
-    measure = make_measure(cfg, kernel)
-    ext = kernel.boundary_extension()
+    section, measure, ext = _boundary_setup(cfg)
     if measure.nodes is None or np.iscomplexobj(measure.nodes):
         raise UsageError("frequency targets need a node-based real boundary "
                          "(circle, band, or Cantor atoms)")
-    freq = cfg.freq if cfg.freq is not None else -1
-    target = np.exp(2j * np.pi * freq * measure.nodes)
+    target = np.exp(2j * np.pi * cfg.freq * measure.nodes)
     result = onto_residual(target, ext, measure, section)
     report = Report(command=cfg.command, config=_echo(cfg))
     report.scalars = {
@@ -693,41 +656,33 @@ def _run_gp(cfg: RunConfig) -> Report:
     kernel = make_kernel(cfg)
     section = build_section(kernel, make_points(cfg, kernel))
     ensemble = build_ensemble(section, cfg.seed)
-    batch = sample(ensemble, cfg.samples or 100000)
+    batch = sample(ensemble, cfg.samples)
     cov = empirical_covariance(batch)
-    gram = section.gram
-    gnorm = float(np.linalg.norm(gram))
-    defect = 0.0 if gnorm == 0.0 else float(np.linalg.norm(cov - gram) / gnorm)
-    factor_gap = float(np.max(np.abs(ensemble.factor @ ensemble.factor.conj().T - gram)))
+    defect = covariance_gap(cov, section.gram)
     report = Report(command=cfg.command, config=_echo(cfg))
     report.scalars = {
         "covariance_defect": defect,
-        "factor_residual": factor_gap,
+        "factor_residual": ensemble.factor_residual,
         "sample_count": batch.count,
     }
-    report.tables["entry_errors"] = {
-        "columns": ["i", "j", "abs_error"],
-        "rows": [
-            [i, j, float(np.abs(cov[i, j] - gram[i, j]))]
-            for i in range(section.size)
-            for j in range(section.size)
-        ],
-    }
+    report.tables["entry_errors"] = _entry_table(np.abs(cov - section.gram), "abs_error")
     report.add_verdict("covariance", defect, cfg.tol, defect < cfg.tol)
     return report
 
 
 def _run_shannon(cfg: RunConfig) -> Report:
-    shift = cfg.shift if cfg.shift is not None else 0.3
-    support = cfg.support or 1000
     try:
-        start, stop, step = (float(x) for x in (cfg.grid or "-2:2:0.01").split(":"))
+        start, stop, step = (float(x) for x in cfg.grid.split(":"))
     except ValueError:
         raise UsageError(f"malformed grid {cfg.grid!r}; expected start:stop:step") from None
+    if not (np.all(np.isfinite([start, stop, step])) and step > 0):
+        raise UsageError(f"grid {cfg.grid!r} needs finite bounds and a positive step")
     grid = np.arange(start, stop + step / 2, step)
-    samples = {n: float(np.sinc(n - shift)) for n in range(-support, support + 1)}
+    if grid.size == 0:
+        raise UsageError(f"grid {cfg.grid!r} is empty: stop lies below start")
+    samples = {n: float(np.sinc(n - cfg.shift)) for n in range(-cfg.support, cfg.support + 1)}
     reconstructed = shannon_reconstruct(samples, grid)
-    exact = np.sinc(grid - shift)
+    exact = np.sinc(grid - cfg.shift)
     errors = np.abs(reconstructed - exact)
     worst = float(np.max(errors))
     integer_mask = grid == np.rint(grid)
@@ -747,15 +702,12 @@ def _run_shannon(cfg: RunConfig) -> Report:
 
 
 def _run_cantor_onb(cfg: RunConfig) -> Report:
-    level = cfg.level or 6
-    lam = lambda4_set(level)
-    diff = (lam[None, :] - lam[:, None]).astype(float)
-    inner = cantor4_fourier(diff)
+    lam, inner = lambda4_frequency_matrix(cfg.level)
     off = np.abs(inner - np.eye(lam.shape[0]))
     max_off = float(np.max(off - np.diag(np.diag(off)))) if lam.shape[0] > 1 else 0.0
     max_diag = float(np.max(np.diag(off)))
     mu_hat_one = float(np.abs(cantor4_fourier(1.0)))
-    table = parseval_table(cfg.freq if cfg.freq is not None else 2, cfg.parseval_max or 12, min_level=2)
+    table = parseval_table(cfg.freq, cfg.parseval_max, min_level=2)
     defects = [d for _, d in table]
     max_increase = max(
         (defects[i + 1] - defects[i] for i in range(len(defects) - 1)), default=0.0
@@ -871,20 +823,18 @@ def run(config: RunConfig) -> Report:
 def main(argv=None) -> int:
     try:
         config = parse_config(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
         report = run(config)
         text = emit(report, config.fmt)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, SectionError, NotHermitianError, NotPositiveSemidefiniteError,
-            np.linalg.LinAlgError, ValueError) as exc:
+    except ValueError as exc:  # domain, section, PSD and linear-algebra failures
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except Exception as exc:  # exit 1 means a failed verdict, never a crash
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if config.out:
         try:

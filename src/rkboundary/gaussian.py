@@ -23,6 +23,7 @@ __all__ = [
     "build_ensemble",
     "sample",
     "empirical_covariance",
+    "covariance_gap",
     "covariance_defect",
 ]
 
@@ -31,12 +32,16 @@ FACTOR_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class GaussianEnsemble:
-    """Zero-mean Gaussian model over a section, with covariance factor L (G = L L*)."""
+    """Zero-mean Gaussian model over a section, with covariance factor L (G = L L*).
+
+    ``factor_residual`` is the refactorization gap max |L L* - G|.
+    """
 
     section: Section
     factor: np.ndarray
     seed: int
     complex_valued: bool
+    factor_residual: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,8 +66,9 @@ def build_ensemble(section: Section, seed: int) -> GaussianEnsemble:
     """
     g = section.gram
     factor, _, _ = pivoted_cholesky(g, rel_tol=1e-12, neg_tol=1e-10)
-    scale = float(np.max(np.real(np.diag(g)))) if section.size else 0.0
+    gap = 0.0
     if section.size:
+        scale = float(np.max(np.real(np.diag(g))))
         gap = float(np.max(np.abs(factor @ factor.conj().T - g)))
         if gap > FACTOR_TOL * max(scale, 1.0):
             raise NotPositiveSemidefiniteError(f"factorization residual {gap:.3e} too large")
@@ -70,7 +76,8 @@ def build_ensemble(section: Section, seed: int) -> GaussianEnsemble:
     if not complex_valued:
         factor = np.real(factor)
     return GaussianEnsemble(
-        section=section, factor=factor, seed=int(seed), complex_valued=complex_valued
+        section=section, factor=factor, seed=int(seed), complex_valued=complex_valued,
+        factor_residual=gap,
     )
 
 
@@ -106,15 +113,17 @@ def empirical_covariance(batch: SampleBatch) -> np.ndarray:
     return 0.5 * (c + c.conj().T)
 
 
-def covariance_defect(ensemble: GaussianEnsemble, count: int) -> float:
-    """Relative Frobenius gap between the empirical covariance and the Gram matrix.
-
-    Defined as zero for the degenerate zero Gram.  Decays at the Monte-Carlo
-    rate count^{-1/2}.
-    """
-    c = empirical_covariance(sample(ensemble, count))
-    g = ensemble.section.gram
-    gnorm = float(np.linalg.norm(g))
+def covariance_gap(cov: np.ndarray, gram: np.ndarray) -> float:
+    """Relative Frobenius gap ||C - G|| / ||G||, defined as zero for the zero Gram."""
+    gnorm = float(np.linalg.norm(gram))
     if gnorm == 0.0:
         return 0.0
-    return float(np.linalg.norm(c - g) / gnorm)
+    return float(np.linalg.norm(cov - gram) / gnorm)
+
+
+def covariance_defect(ensemble: GaussianEnsemble, count: int) -> float:
+    """:func:`covariance_gap` of the empirical covariance of ``count`` fresh samples.
+
+    Decays at the Monte-Carlo rate count^{-1/2}.
+    """
+    return covariance_gap(empirical_covariance(sample(ensemble, count)), ensemble.section.gram)

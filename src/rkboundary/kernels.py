@@ -310,35 +310,24 @@ class BoundaryExtension:
         raise NotImplementedError
 
 
-class SzegoCircleExtension(BoundaryExtension):
+class _CircleExtension(BoundaryExtension):
+    """Disk kernel continued to the circle: K^B(z, x) = K(z, e^{2 pi i x})."""
+
+    boundary = "circle"
+
+    def validate_boundary(self, b):
+        return _real_points(b, "circle coordinate")
+
+    def _eval(self, s, b):
+        return self.kernel._eval(s, np.exp(2j * np.pi * b))
+
+
+class SzegoCircleExtension(_CircleExtension):
     """Circle values 1 / (1 - conj(z) e^{2 pi i x}); x is the 1-periodic coordinate."""
 
-    boundary = "circle"
 
-    def validate_boundary(self, b):
-        return _real_points(b, "circle coordinate")
-
-    def _eval(self, s, b):
-        return 1.0 / (1.0 - np.conj(s) * np.exp(2j * np.pi * b))
-
-
-class Cantor4CircleExtension(BoundaryExtension):
+class Cantor4CircleExtension(_CircleExtension):
     """Circle values prod_{l < level} (1 + (conj(z) e^{2 pi i x})^(4^l))."""
-
-    boundary = "circle"
-
-    def validate_boundary(self, b):
-        return _real_points(b, "circle coordinate")
-
-    def _eval(self, s, b):
-        u = np.conj(s) * np.exp(2j * np.pi * b)
-        out = np.ones_like(u)
-        p = u
-        for _ in range(self.kernel.level):
-            out = out * (1.0 + p)
-            q = p * p
-            p = q * q
-        return out
 
 
 class BargmannPlaneExtension(BoundaryExtension):

@@ -174,11 +174,14 @@ def cantor4_fourier(t):
     (the tail perturbs the value by less than 1e-14).  Each factor's argument
     is reduced modulo the period exactly, so the characteristic zeros at odd
     multiples of powers of four come out at the 1e-16 level even for large
-    integer frequencies.  Accepts scalars or arrays.
+    integer frequencies.  Accepts scalars or arrays; a non-finite frequency
+    raises ValueError, since the product has no truncation point for it.
     """
     tt = np.asarray(t, dtype=float)
     scalar = tt.ndim == 0
     s = np.atleast_1d(tt).astype(float).copy()
+    if not np.all(np.isfinite(s)):
+        raise ValueError("frequencies must be finite")
     out = np.ones(s.shape, dtype=complex)
     tail = (2.0 * np.pi / 3.0) * (float(np.max(np.abs(s))) if s.size else 0.0)
     while tail > 1e-15:

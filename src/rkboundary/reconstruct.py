@@ -12,6 +12,7 @@ from .measures import cantor4_fourier, cantor_ifs
 __all__ = [
     "MAX_LAMBDA_LEVEL",
     "lambda4_set",
+    "lambda4_frequency_matrix",
     "in_lambda4",
     "shannon_reconstruct",
     "cantor_coefficients",
@@ -37,6 +38,18 @@ def lambda4_set(level: int) -> np.ndarray:
     for i in range(level):
         lam += ((m >> i) & 1) * np.int64(4) ** i
     return lam
+
+
+def lambda4_frequency_matrix(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The level-L frequencies and the matrix M[j, k] = mu_hat(lambda_k - lambda_j).
+
+    M is the Gram matrix of the exponentials e^{2 pi i lambda x} in L2 of the
+    quarter-Cantor measure: the identity up to rounding, by orthonormality.  The
+    truncated Cantor kernel is a power sum over exactly these frequencies, so
+    its boundary products against the exact measure reduce to M.
+    """
+    lam = lambda4_set(level)
+    return lam, cantor4_fourier((lam[None, :] - lam[:, None]).astype(float))
 
 
 def in_lambda4(n) -> bool:

@@ -287,7 +287,7 @@ def test_criterion_13_partial_order():
 
 def test_criterion_14_cli_determinism(tmp_path, capsys):
     argv = ["factorize", "--kernel", "szego", "--points", "grid8",
-            "--measure", "uniform:1024", "--tol", "1e-9", "--threads", "1"]
+            "--measure", "uniform:1024", "--tol", "1e-9"]
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"
     code_a = main(argv + ["--out", str(out_a)])

@@ -16,7 +16,7 @@ from rkboundary.cli import (
     parse_config,
     run,
 )
-from rkboundary.kernels import SincKernel, SzegoKernel
+from rkboundary.kernels import BoundaryExtension, SincKernel, SzegoKernel
 
 
 # -- parsing ------------------------------------------------------------------
@@ -44,7 +44,6 @@ def test_defaults_resolved():
     assert cfg.tol == 1e-8
     assert cfg.seed == 0
     assert cfg.fmt == "json"
-    assert cfg.threads == 1
 
 
 def test_config_file_merging(tmp_path):
@@ -60,6 +59,10 @@ def test_config_file_unknown_key(tmp_path, capsys):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"not-a-flag": 1}))
     assert main(["factorize", "--config", str(path)]) == EXIT_USAGE
+    path.write_text(json.dumps({"seed": "abc"}))
+    assert main(["factorize", "--config", str(path)]) == EXIT_USAGE
+    path.write_text(json.dumps({"samples": -5}))  # the flag parser would reject it
+    assert main(["isometry", "--config", str(path)]) == EXIT_USAGE
 
 
 def test_points_inline_and_file(tmp_path):
@@ -115,6 +118,27 @@ def test_carleson_scaled_measure_fails_verdict(capsys):
 
 def test_domain_violation_is_numerical_failure(capsys):
     assert main(["factorize", "--kernel", "szego", "--points", "1.5"]) == EXIT_NUMERICAL
+
+
+@pytest.mark.parametrize("grid", ["0:1:0", "1:0:0.1"])
+def test_shannon_degenerate_grid_is_usage_error(grid, capsys):
+    assert main(["shannon", f"--grid={grid}"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_unexpected_failure_exits_3_without_traceback(capsys):
+    # the completeness probe overflows a float; that is a crash, not a failed verdict
+    assert main(["cantor-onb", "--freq", "9" * 400]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: OverflowError")
+    assert len(err.splitlines()) == 1
+
+
+def test_factorize_empty_section(capsys):
+    assert main(["factorize", "--points", "grid0"]) == EXIT_PASS
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["tables"]["factorization_deviation"]["rows"] == []
+    assert doc["tables"]["pencil_eigenvalues"]["rows"] == []
 
 
 def test_gp_run(capsys):
@@ -183,6 +207,42 @@ def test_pd_check_run(capsys):
     assert len(doc["tables"]["eigenvalues"]["rows"]) == 4
 
 
+# -- one evaluation per run ---------------------------------------------------
+
+def _spy(monkeypatch, owners, name, counted=lambda *args: True):
+    """Count calls of ``name`` through every owner (class or module) that binds it."""
+    calls = []
+    for owner in owners:
+        if not hasattr(owner, name):
+            continue
+        original = getattr(owner, name)
+
+        def spy(*args, original=original, **kwargs):
+            if counted(*args):
+                calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["isometry", "project"])
+def test_section_evaluated_once_per_run(command, monkeypatch):
+    calls = _spy(monkeypatch, [BoundaryExtension], "__call__")
+    run(parse_config([command]))
+    assert len(calls) == 1
+
+
+def test_cantor_frequency_matrix_built_once_per_run(monkeypatch):
+    import rkboundary
+
+    owners = [rkboundary.cli, rkboundary.boundary, rkboundary.reconstruct]
+    calls = _spy(monkeypatch, owners, "cantor4_fourier", lambda t: np.ndim(t) == 2)
+    run(parse_config(["isometry", "--kernel", "cantor4", "--measure", "cantor-exact",
+                      "--level", "7", "--samples", "20"]))
+    assert len(calls) == 1
+
+
 # -- emission -----------------------------------------------------------------
 
 def test_emit_csv_structure():
@@ -206,7 +266,7 @@ def test_every_verdict_pairs_value_and_tolerance(capsys):
 
 def test_report_bytes_identical_across_runs(tmp_path, capsys):
     argv = ["factorize", "--kernel", "szego", "--points", "grid6",
-            "--measure", "uniform:512", "--threads", "1"]
+            "--measure", "uniform:512"]
     assert main(argv) == EXIT_PASS
     first = capsys.readouterr().out
     assert main(argv) == EXIT_PASS

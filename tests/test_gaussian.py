@@ -56,6 +56,7 @@ def test_refactorization_all_zoo_sections():
         gap = np.max(np.abs(ensemble.factor @ ensemble.factor.conj().T - section.gram))
         scale = float(np.max(np.real(np.diag(section.gram))))
         assert gap < 1e-12 * max(scale, 1.0), section.kernel.name
+        assert ensemble.factor_residual == gap, section.kernel.name
 
 
 def test_indefinite_gram_rejected():

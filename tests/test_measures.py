@@ -94,6 +94,13 @@ def test_cantor4_fourier_special_values():
     assert cantor4_fourier(2.0) == pytest.approx(MU_HAT_2, abs=1e-12)
 
 
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan, [0.0, np.nan]])
+def test_cantor4_fourier_rejects_non_finite(t):
+    # an infinite frequency never reached the truncation point; NaN returned 1
+    with pytest.raises(ValueError, match="finite"):
+        cantor4_fourier(t)
+
+
 def test_cantor4_fourier_cross_oracle_against_ifs():
     mu = cantor_ifs(20)
     for t in (1.0, 2.0, 3.5, 7.0):
