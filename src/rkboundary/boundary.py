@@ -72,7 +72,7 @@ class BoundaryMatrix:
     measure: QuadMeasure
     matrix: np.ndarray
     evaluation: np.ndarray
-    frequencies: np.ndarray | None = None
+    frequencies: np.ndarray | None
 
     def transform_norm_sq(self, coeffs: np.ndarray) -> float:
         """Squared L2 norm of the boundary transform b -> sum_j c_j K^B(s_j, b).
