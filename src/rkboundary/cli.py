@@ -376,26 +376,22 @@ def make_kernel(cfg: RunConfig):
 
 _NODE_REQUIRED_COMMANDS = {"adjoint-roundtrip", "project"}
 
-# quadrature rules by descriptor kind, with the node count a bare kind gets
-_QUADRATURES = {
-    "uniform": (periodic_uniform, 2048),
-    "gauss-hermite": (gauss_hermite_plane, 64),
-    "cantor-ifs": (cantor_ifs, 12),
-    "band": (band_gauss_legendre, 160),
-}
-
-
 def make_measure(cfg: RunConfig):
     desc = _kernel_setting(cfg, "measure")
     if cfg.measure is None and cfg.command in _NODE_REQUIRED_COMMANDS and desc == "cantor-exact":
         desc = "cantor-ifs:10"  # these commands sample boundary values at nodes
     kind, _, param = desc.partition(":")
     try:
-        if kind in _QUADRATURES:
-            rule, nodes = _QUADRATURES[kind]
-            return rule(int(param) if param else nodes, scale=cfg.scale)
+        if kind == "uniform":
+            return periodic_uniform(int(param or 2048), scale=cfg.scale)
+        if kind == "gauss-hermite":
+            return gauss_hermite_plane(int(param or 64), scale=cfg.scale)
+        if kind == "cantor-ifs":
+            return cantor_ifs(int(param or 12), scale=cfg.scale)
         if kind == "cantor-exact":
             return cantor_exact(scale=cfg.scale)
+        if kind == "band":
+            return band_gauss_legendre(int(param or 160), scale=cfg.scale)
         if kind == "atomic":
             return _atomic_from_file(param, cfg.scale)
     except ValueError as exc:
