@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.linalg
 
 from ._linalg import NotPositiveSemidefiniteError, pivoted_cholesky
 from .kernels import (
@@ -220,7 +219,9 @@ def pencil_eigenvalues(nmat: np.ndarray, norm_matrix: np.ndarray, prune_tol: flo
     Q is the matrix of the native norm's quadratic form.  Kernel Gram matrices
     are notoriously ill conditioned for clustered points, so the pencil is
     restricted to the pivots a Cholesky factorization retains at the given
-    relative tolerance (escalated if the dense solver still balks).
+    relative tolerance (escalated if the dense solver still balks).  The
+    restricted pencil is reduced to the standard Hermitian problem
+    L^-1 N L^-H with the Cholesky factor Q = L L^H.
     """
     for tol in (prune_tol, prune_tol * 1e2, prune_tol * 1e4):
         _, pivots, rank = pivoted_cholesky(norm_matrix, rel_tol=tol)
@@ -232,9 +233,12 @@ def pencil_eigenvalues(nmat: np.ndarray, norm_matrix: np.ndarray, prune_tol: flo
         nr = nmat[np.ix_(idx, idx)]
         qr = norm_matrix[np.ix_(idx, idx)]
         try:
-            return scipy.linalg.eigh(nr, qr, eigvals_only=True)
+            low = np.linalg.cholesky(qr)
         except np.linalg.LinAlgError:
             continue
+        half = np.linalg.solve(low, nr)
+        reduced = np.linalg.solve(low, half.conj().T)
+        return np.linalg.eigvalsh(0.5 * (reduced + reduced.conj().T))
     raise NotPositiveSemidefiniteError("generalized eigenproblem failed after pruning")
 
 
@@ -286,7 +290,8 @@ def onto_residual(
     Solves the normal equations built from the boundary matrix and the
     adjoint; a numerically singular system is ridge-stabilized and flagged.
     The residual is recomputed by direct quadrature of |F - fit|^2, so it is
-    meaningful either way and always lies in [0, ||F||].
+    meaningful either way and always lies in [0, ||F||].  An empty section
+    has the empty fit: no coefficients, residual ||F||, not ridged.
     """
     if measure.nodes is None:
         raise ValueError("projection needs a node-based measure")
@@ -295,7 +300,7 @@ def onto_residual(
     nmat, e = bmat.matrix, bmat.evaluation
     rhs = (np.conj(e) * measure.weights) @ fv  # the adjoint at the section points
     w = np.linalg.eigvalsh(nmat)
-    ridged = bool(w[0] <= 1e-12 * max(float(w[-1]), 0.0))
+    ridged = bool(w.size and w[0] <= 1e-12 * max(float(w[-1]), 0.0))
     if ridged:
         ridge = ridge_factor * float(np.real(np.trace(nmat))) / max(section.size, 1)
         solve_mat = nmat + ridge * np.eye(section.size)

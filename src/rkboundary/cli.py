@@ -55,7 +55,13 @@ from .measures import (
     periodic_uniform,
     pushforward,
 )
-from .reconstruct import lambda4_frequency_matrix, parseval_table, shannon_reconstruct
+from .reconstruct import (
+    MAX_LAMBDA_LEVEL,
+    MAX_PARSEVAL_LEVEL,
+    lambda4_frequency_matrix,
+    parseval_table,
+    shannon_reconstruct,
+)
 
 EXIT_PASS = 0
 EXIT_VERDICT_FAIL = 1
@@ -316,8 +322,9 @@ def parse_config(argv=None) -> RunConfig:
     """Parse flags, merge the optional config file, and resolve defaults.
 
     Flags always override file values, and both override the command's row
-    of ``_COMMAND_DEFAULTS``.  Unknown file keys, malformed numbers, and
-    values a flag would reject are usage errors.
+    of ``_COMMAND_DEFAULTS``.  Unknown file keys, malformed numbers, values
+    a flag would reject and values outside the library's limits are usage
+    errors.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -346,10 +353,29 @@ def parse_config(argv=None) -> RunConfig:
                 raise UsageError(f"config key {key!r}: {exc}") from None
 
     defaults = {**_COMMON_DEFAULTS, **_COMMAND_DEFAULTS[values["command"]]}
-    return RunConfig(**{
+    config = RunConfig(**{
         f.name: defaults.get(f.name) if values.get(f.name) is None else values[f.name]
         for f in fields(RunConfig)
     })
+    _check_limits(config)
+    return config
+
+
+def _check_limits(cfg: RunConfig) -> None:
+    """Reject values the library refuses, with one message for flags and config keys."""
+    limits = [
+        ("level", 1, MAX_LAMBDA_LEVEL),  # Lambda4 frequencies and cantor4 truncation
+        ("parseval_max", 2, MAX_PARSEVAL_LEVEL),  # the completeness table starts at level 2
+    ]
+    if cfg.command == "gp":
+        limits.append(("samples", 2, None))  # a covariance estimate needs two samples
+    for name, low, high in limits:
+        value = getattr(cfg, name)
+        if value is None or (low <= value and (high is None or value <= high)):
+            continue
+        flag = "--" + name.replace("_", "-")
+        bound = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise UsageError(f"{flag} must be {bound}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +624,9 @@ def _run_carleson(cfg: RunConfig) -> Report:
 
 def _run_adjoint_roundtrip(cfg: RunConfig) -> Report:
     section, measure, ext = _boundary_setup(cfg)
+    if measure.nodes is None:
+        raise UsageError("the round-trip samples boundary values at quadrature nodes; "
+                         "use a node-based measure (e.g. cantor-ifs:10)")
     rng = np.random.default_rng(cfg.seed)
     f = element(section, _random_coeffs(rng, section.size))
     samples = boundary_transform(f, ext)(measure.nodes)

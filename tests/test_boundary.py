@@ -1,10 +1,12 @@
 """Boundary factorization, isometries, Carleson pencils, projections, morphisms."""
 
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import disk_points, spiral_points
 
+import rkboundary.boundary
 from rkboundary import (
     Cantor4Kernel,
     ExplicitFeatureKernel,
@@ -30,6 +32,7 @@ from rkboundary import (
     membership_defect,
     morphism_check,
     onto_residual,
+    pencil_eigenvalues,
     periodic_uniform,
     pushforward,
     scale_measure,
@@ -245,10 +248,85 @@ def test_carleson_exhausted_pruning():
     with pytest.raises(Exception):
         build_section(kernel, [0, 1])  # duplicate under the metric
     # zero norm form through the pencil directly
-    from rkboundary import pencil_eigenvalues
-
     with pytest.raises(NotPositiveSemidefiniteError):
         pencil_eigenvalues(np.eye(2), np.zeros((2, 2)))
+
+
+def pencil_oracle(nmat, qmat, dps=50):
+    """Generalized eigenvalues of a Hermitian-definite pencil (N, Q) at ``dps`` digits.
+
+    Factors Q = L L^H with mpmath's Cholesky, inverts the triangular factor and
+    diagonalizes L^-1 N L^-H with mpmath's Hermitian eigensolver; no numpy
+    linear algebra touches the matrices.  Returns the ascending spectrum.
+    """
+    with mpmath.workdps(dps):
+        low = mpmath.cholesky(mpmath.matrix(qmat.tolist()))
+        inv = mpmath.inverse(low)
+        reduced = inv * mpmath.matrix(nmat.tolist()) * inv.H
+        spectrum = mpmath.eighe(reduced, eigvals_only=True)
+        return np.sort([float(mpmath.re(w)) for w in spectrum])
+
+
+def random_pencil(rng, n, cond):
+    """Hermitian N and positive definite Q with spectrum logspaced from 1 to 1/cond."""
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    q = (u * np.logspace(0.0, -np.log10(cond), n)) @ u.conj().T
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 0.5 * (b + b.conj().T), 0.5 * (q + q.conj().T)
+
+
+@pytest.mark.parametrize("n", [6, 20])
+@pytest.mark.parametrize("cond", [1e2, 1e8])
+def test_pencil_matches_high_precision_oracle(n, cond):
+    nmat, qmat = random_pencil(np.random.default_rng([n, int(np.log10(cond))]), n, cond)
+    expected = pencil_oracle(nmat, qmat)
+    got = pencil_eigenvalues(nmat, qmat)
+    assert got.shape == (n,)  # nothing pruned: the oracle solves the same pencil
+    assert np.max(np.abs(got - expected)) <= cond * 1e-15 * np.max(np.abs(expected))
+
+
+def test_pencil_szego_section_matches_oracle():
+    from rkboundary.cli import builtin_grid
+
+    kernel = SzegoKernel()
+    section = build_section(kernel, builtin_grid(10, kernel))
+    nmat = boundary_gram(kernel.boundary_extension(), periodic_uniform(2048), section).matrix
+    qmat = np.conj(section.gram)
+    with mpmath.workdps(50):
+        wq = mpmath.eighe(mpmath.matrix(qmat.tolist()), eigvals_only=True)
+        cond = float(max(wq) / min(wq))
+    expected = pencil_oracle(nmat, qmat)
+    assert np.max(np.abs(expected - 1.0)) < 1e-9  # a member: all ones up to quadrature
+    got = pencil_eigenvalues(nmat, qmat)
+    assert got.shape == (10,)
+    assert np.max(np.abs(got - expected)) <= cond * 1e-15 * np.max(np.abs(expected))
+
+
+def test_pencil_escalates_when_cholesky_fails(monkeypatch):
+    nmat, qmat = random_pencil(np.random.default_rng(5), 6, 1e3)
+    tolerances = []
+    original_pivoted = rkboundary.boundary.pivoted_cholesky
+
+    def recording_pivoted(matrix, rel_tol):
+        tolerances.append(rel_tol)
+        return original_pivoted(matrix, rel_tol=rel_tol)
+
+    original_cholesky = np.linalg.cholesky
+    factored = []
+
+    def failing_once(matrix):
+        factored.append(matrix.shape)
+        if len(factored) == 1:
+            raise np.linalg.LinAlgError("not positive definite")
+        return original_cholesky(matrix)
+
+    monkeypatch.setattr(rkboundary.boundary, "pivoted_cholesky", recording_pivoted)
+    monkeypatch.setattr(np.linalg, "cholesky", failing_once)
+    got = pencil_eigenvalues(nmat, qmat)
+    assert tolerances == [1e-12, pytest.approx(1e-10)]
+    assert factored == [(6, 6), (6, 6)]
+    expected = pencil_oracle(nmat, qmat)
+    assert np.max(np.abs(got - expected)) <= 1e3 * 1e-15 * np.max(np.abs(expected))
 
 
 # -- projections ------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Command-line driver: parsing, dispatch, report emission, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +143,48 @@ def test_factorize_empty_section(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["tables"]["factorization_deviation"]["rows"] == []
     assert doc["tables"]["pencil_eigenvalues"]["rows"] == []
+
+
+def test_project_empty_section(capsys):
+    assert main(["project", "--points", "grid0"]) == EXIT_PASS
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["scalars"]["residual"] == doc["scalars"]["target_norm"] > 0
+    assert doc["scalars"]["ridged"] is False
+    assert doc["tables"]["projection_coefficients"]["rows"] == []
+
+
+def test_adjoint_roundtrip_node_free_measure_is_usage_error(capsys):
+    argv = ["adjoint-roundtrip", "--kernel", "cantor4", "--measure", "cantor-exact"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["gp"], "samples", 1),
+    (["cantor-onb"], "parseval_max", 20),
+    (["cantor-onb"], "parseval_max", 1),
+    (["cantor-onb"], "level", 21),
+    (["factorize", "--kernel", "cantor4"], "level", 21),
+])
+def test_out_of_range_value_is_usage_error(argv, key, value, tmp_path, capsys):
+    flag = "--" + key.replace("_", "-")
+    assert main(argv + [flag, str(value)]) == EXIT_USAGE
+    from_flag = capsys.readouterr().err
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({key: value}))
+    assert main(argv + ["--config", str(path)]) == EXIT_USAGE
+    from_file = capsys.readouterr().err
+    assert from_flag.startswith(f"usage error: {flag} must be")
+    assert from_file == from_flag
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import rkboundary.cli, sys; "
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert done.returncode == 0
 
 
 def test_gp_run(capsys):

@@ -7,6 +7,7 @@ bytes, with ``PYTHONPATH=src python tests/test_golden.py``.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rkboundary.cli import emit, parse_config, run
@@ -47,6 +48,25 @@ def render(argv) -> str:
 def test_report_matches_golden(name):
     expected = (GOLDEN_DIR / name).read_bytes()
     assert render(CASES[name]).encode("utf-8") == expected
+
+
+# The default szego carleson pencil as LAPACK's generalized Hermitian solver
+# computed it, before the numpy Cholesky reduction replaced it.  The goldens
+# pin the bytes of the current solver; these pin the values, independently.
+LAPACK_EIGENVALUES = [
+    0.999999999999789, 0.9999999999999853, 0.9999999999999983, 0.9999999999999991,
+    1.0000000000000002, 1.0000000000000002, 1.0000000000000007, 1.0000000000000107,
+    1.0000000000003242, 1.0000000000097535,
+]
+
+
+@pytest.mark.parametrize("command", ["carleson", "factorize"])
+def test_pencil_values_agree_with_lapack_solver(command):
+    report = run(parse_config([command]))
+    eigenvalues = [w for _, w in report.tables["pencil_eigenvalues"]["rows"]]
+    np.testing.assert_allclose(eigenvalues, LAPACK_EIGENVALUES, rtol=1e-10, atol=0)
+    estimate = report.scalars["carleson_constant_estimate"]
+    assert estimate == pytest.approx(LAPACK_EIGENVALUES[-1], rel=1e-10, abs=0)
 
 
 if __name__ == "__main__":
