@@ -30,7 +30,6 @@ from .boundary import (
     boundary_gram,
     boundary_transform,
     carleson_constant,
-    carleson_eigenvalues,
     commuting_diagram_defect,
     isometry_defect,
     membership_defect,
@@ -153,7 +152,6 @@ __all__ = [
     "boundary_transform",
     "adjoint_apply",
     "pencil_eigenvalues",
-    "carleson_eigenvalues",
     "carleson_constant",
     "onto_residual",
     "morphism_check",

@@ -43,7 +43,6 @@ __all__ = [
     "boundary_transform",
     "adjoint_apply",
     "pencil_eigenvalues",
-    "carleson_eigenvalues",
     "carleson_constant",
     "onto_residual",
     "morphism_check",
@@ -213,17 +212,17 @@ def adjoint_apply(boundary_values, ext: BoundaryExtension, measure: QuadMeasure,
     return complex(out[0]) if arr.ndim == 0 else out
 
 
-def pencil_eigenvalues(nmat: np.ndarray, norm_matrix: np.ndarray, prune_tol: float = PENCIL_PRUNE_TOL) -> np.ndarray:
+def pencil_eigenvalues(nmat: np.ndarray, norm_matrix: np.ndarray) -> np.ndarray:
     """Generalized eigenvalues of (N, Q) ascending, with Q pruned by pivoted factorization.
 
     Q is the matrix of the native norm's quadratic form.  Kernel Gram matrices
     are notoriously ill conditioned for clustered points, so the pencil is
-    restricted to the pivots a Cholesky factorization retains at the given
-    relative tolerance (escalated if the dense solver still balks).  The
-    restricted pencil is reduced to the standard Hermitian problem
-    L^-1 N L^-H with the Cholesky factor Q = L L^H.
+    restricted to the pivots a Cholesky factorization retains at relative
+    tolerance ``PENCIL_PRUNE_TOL`` (escalated if the dense solver still
+    balks).  The restricted pencil is reduced to the standard Hermitian
+    problem L^-1 N L^-H with the Cholesky factor Q = L L^H.
     """
-    for tol in (prune_tol, prune_tol * 1e2, prune_tol * 1e4):
+    for tol in (PENCIL_PRUNE_TOL, PENCIL_PRUNE_TOL * 1e2, PENCIL_PRUNE_TOL * 1e4):
         _, pivots, rank = pivoted_cholesky(norm_matrix, rel_tol=tol)
         if rank == 0:
             raise NotPositiveSemidefiniteError(
@@ -242,30 +241,14 @@ def pencil_eigenvalues(nmat: np.ndarray, norm_matrix: np.ndarray, prune_tol: flo
     raise NotPositiveSemidefiniteError("generalized eigenproblem failed after pruning")
 
 
-def carleson_eigenvalues(
-    ext: BoundaryExtension,
-    measure: QuadMeasure,
-    section: Section,
-    prune_tol: float = PENCIL_PRUNE_TOL,
-) -> np.ndarray:
-    """Spectrum of the boundary matrix against the norm form, ascending.
+def carleson_constant(ext: BoundaryExtension, measure: QuadMeasure, section: Section) -> float:
+    """Largest generalized eigenvalue of the (boundary matrix, norm form) pencil.
 
-    The maximum is the exact supremum of the boundary-to-native norm ratio
-    over the section's span, hence a finite-section *estimate* (a lower bound)
-    of the least Carleson constant of the measure.
+    The exact supremum of the boundary-to-native norm ratio over the section's
+    span, hence a finite-section *estimate* (a lower bound) of the least
+    Carleson constant of the measure; zero for an empty section.
     """
-    nmat = boundary_gram(ext, measure, section).matrix
-    return pencil_eigenvalues(nmat, np.conj(section.gram), prune_tol)
-
-
-def carleson_constant(
-    ext: BoundaryExtension,
-    measure: QuadMeasure,
-    section: Section,
-    prune_tol: float = PENCIL_PRUNE_TOL,
-) -> float:
-    """Largest generalized eigenvalue of the (boundary matrix, norm form) pencil."""
-    return float(carleson_eigenvalues(ext, measure, section, prune_tol)[-1])
+    return membership_defect(ext, measure, section).carleson_constant
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,7 +266,6 @@ def onto_residual(
     ext: BoundaryExtension,
     measure: QuadMeasure,
     section: Section,
-    ridge_factor: float = RIDGE_FACTOR,
 ) -> ProjectionResult:
     """Project boundary samples onto span{K^B(s_j, .)} in L2 of the measure.
 
@@ -302,7 +284,7 @@ def onto_residual(
     w = np.linalg.eigvalsh(nmat)
     ridged = bool(w.size and w[0] <= 1e-12 * max(float(w[-1]), 0.0))
     if ridged:
-        ridge = ridge_factor * float(np.real(np.trace(nmat))) / max(section.size, 1)
+        ridge = RIDGE_FACTOR * float(np.real(np.trace(nmat))) / max(section.size, 1)
         solve_mat = nmat + ridge * np.eye(section.size)
     else:
         solve_mat = nmat

@@ -24,7 +24,6 @@ from .boundary import (
     adjoint_apply,
     boundary_gram,
     boundary_transform,
-    carleson_eigenvalues,
     commuting_diagram_defect,
     membership_defect,
     morphism_check,
@@ -56,6 +55,7 @@ from .measures import (
     pushforward,
 )
 from .reconstruct import (
+    MAX_EXACT_LEVEL,
     MAX_LAMBDA_LEVEL,
     MAX_PARSEVAL_LEVEL,
     lambda4_frequency_matrix,
@@ -70,21 +70,6 @@ EXIT_NUMERICAL = 3
 
 _GOLDEN = 0.6180339887498949
 
-# Every flag a command leaves unset resolves from this table, merged over the
-# defaults common to all commands.  The resolved values form the config echo.
-_COMMON_DEFAULTS = {"scale": 1.0, "seed": 0, "fmt": "json"}
-_COMMAND_DEFAULTS = {
-    "pd-check": {"kernel": "szego", "tol": 1e-10},
-    "factorize": {"kernel": "szego", "tol": 1e-8},
-    "isometry": {"kernel": "szego", "tol": 1e-8, "samples": 100},
-    "carleson": {"kernel": "szego", "tol": 1e-8},
-    "adjoint-roundtrip": {"kernel": "szego", "tol": 1e-9, "probes": 50},
-    "project": {"kernel": "szego", "tol": 1e-9, "freq": -1},
-    "gp": {"kernel": "szego", "tol": 0.05, "samples": 100000},
-    "shannon": {"tol": 1e-3, "shift": 0.3, "support": 1000, "grid": "-2:2:0.01"},
-    "cantor-onb": {"tol": 1e-12, "level": 6, "freq": 2, "parseval_max": 12},
-    "morphism": {"tol": 1e-12},
-}
 # Settings that depend on the kernel resolve only when the run builds its
 # objects, so they stay out of the config echo.
 _KERNEL_DEFAULTS = {
@@ -101,16 +86,19 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved invocation: one command plus its validated parameters."""
+    """Fully resolved invocation: one command plus its validated parameters.
+
+    A setting the command does not take is None, and stays out of the echo.
+    """
 
     command: str
     kernel: str | None
     level: int | None
     measure: str | None
-    scale: float
+    scale: float | None
     points: str | None
     tol: float
-    seed: int
+    seed: int | None
     samples: int | None
     probes: int | None
     freq: int | None
@@ -215,167 +203,161 @@ def _positive_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed number {text!r}") from None
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
     if not value > 0:
-        raise argparse.ArgumentTypeError("must be positive")
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _int_range(low: int, high: int | None = None):
+    """Flag parser for an integer in low..high, or at least low when high is None."""
+    bound = f"at least {low}" if high is None else f"in {low}..{high}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        if value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command; each flag's name, parser, range and default live here."""
     parser = argparse.ArgumentParser(
         prog="rkboundary",
         description="Verification runs for boundary measures of positive definite kernels.",
+        exit_on_error=False,
     )
     parser.add_argument("--version", action="version", version=f"rkboundary {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    def command(name, summary, *, kernel=True, measure=True, points=True):
-        p = sub.add_parser(name, help=summary)
+    def command(name, summary, *, tol, kernel=True, measure=True, points=True, seed=False):
+        p = sub.add_parser(name, help=summary, exit_on_error=False)
         if kernel:
-            p.add_argument("--kernel", choices=sorted(_KERNEL_DEFAULTS), default=None)
-            p.add_argument("--level", type=_positive_int, default=None,
+            p.add_argument("--kernel", choices=sorted(_KERNEL_DEFAULTS), default="szego")
+            p.add_argument("--level", type=_int_range(1, MAX_LAMBDA_LEVEL), default=None,
                            help="cantor4 truncation level "
-                                f"(default {_KERNEL_DEFAULTS['cantor4']['level']})")
+                                f"(default {_KERNEL_DEFAULTS['cantor4']['level']}, "
+                                f"at most {MAX_EXACT_LEVEL} on cantor-exact)")
         if measure:
             p.add_argument("--measure", default=None,
                            help="kind[:param], e.g. uniform:2048, gauss-hermite:64, "
                                 "cantor-ifs:12, cantor-exact, band:160, atomic:FILE")
-            p.add_argument("--scale", type=_positive_float, default=None,
-                           help="scale factor applied to all weights")
+            p.add_argument("--scale", type=_positive_float, default=1.0,
+                           help="scale factor applied to all weights (default %(default)s)")
         if points:
             p.add_argument("--points", default=None,
                            help="gridN, a JSON file, or inline values 0.1,0.2+0.3j,...")
-        p.add_argument("--tol", type=_positive_float, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--tol", type=_positive_float, default=tol,
+                       help="verdict tolerance (default %(default)s)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0,
+                           help="random generator seed (default %(default)s)")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
-        p.add_argument("--config", default=None, help="JSON file with flag defaults")
-        return p, _COMMAND_DEFAULTS[name]
+        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+        p.add_argument("--config", default=None,
+                       help="JSON file of flag values keyed by long flag name; flags override it")
+        return p
 
-    command("pd-check", "positive-semidefiniteness of a sampled Gram matrix", measure=False)
-    command("factorize", "boundary factorization defect of a kernel/measure pair")
+    command("pd-check", "positive-semidefiniteness of a sampled Gram matrix",
+            tol=1e-10, measure=False)
+    command("factorize", "boundary factorization defect of a kernel/measure pair", tol=1e-8)
 
-    p, d = command("isometry", "native-vs-boundary norm agreement on random elements")
-    p.add_argument("--samples", type=_positive_int, default=None,
-                   help=f"number of random coefficient vectors (default {d['samples']})")
+    p = command("isometry", "native-vs-boundary norm agreement on random elements",
+                tol=1e-8, seed=True)
+    p.add_argument("--samples", type=_int_range(1), default=100,
+                   help="number of random coefficient vectors (default %(default)s)")
 
-    command("carleson", "largest boundary-to-native norm ratio on the section")
+    command("carleson", "largest boundary-to-native norm ratio on the section", tol=1e-8)
 
-    p, d = command("adjoint-roundtrip", "adjoint-after-transform identity on probe points")
-    p.add_argument("--probes", type=_positive_int, default=None,
-                   help=f"number of probe points (default {d['probes']})")
+    p = command("adjoint-roundtrip", "adjoint-after-transform identity on probe points",
+                tol=1e-9, seed=True)
+    p.add_argument("--probes", type=_int_range(1), default=50,
+                   help="number of probe points (default %(default)s)")
 
-    p, d = command("project", "least-squares projection of a boundary exponential")
-    p.add_argument("--freq", type=int, default=None,
-                   help=f"target exponential frequency (default {d['freq']})")
+    p = command("project", "least-squares projection of a boundary exponential", tol=1e-9)
+    p.add_argument("--freq", type=int, default=-1,
+                   help="target exponential frequency (default %(default)s)")
 
-    p, d = command("gp", "Gaussian sampling with kernel covariance", measure=False)
-    p.add_argument("--samples", type=_positive_int, default=None,
-                   help=f"Monte-Carlo sample count (default {d['samples']})")
+    p = command("gp", "Gaussian sampling with kernel covariance",
+                tol=0.05, measure=False, seed=True)
+    # a covariance estimate needs two samples
+    p.add_argument("--samples", type=_int_range(2), default=100000,
+                   help="Monte-Carlo sample count (default %(default)s)")
 
-    p, d = command("shannon", "cardinal-series reconstruction of a shifted sinc",
-                   kernel=False, measure=False, points=False)
-    p.add_argument("--shift", type=float, default=None,
-                   help=f"target shift (default {d['shift']})")
-    p.add_argument("--support", type=_positive_int, default=None,
-                   help=f"samples at integers in [-support, support] (default {d['support']})")
-    p.add_argument("--grid", default=None,
+    p = command("shannon", "cardinal-series reconstruction of a shifted sinc",
+                tol=1e-3, kernel=False, measure=False, points=False)
+    p.add_argument("--shift", type=float, default=0.3,
+                   help="target shift (default %(default)s)")
+    p.add_argument("--support", type=_int_range(1), default=1000,
+                   help="samples at integers in [-support, support] (default %(default)s)")
+    p.add_argument("--grid", default="-2:2:0.01",
                    help="evaluation grid start:stop:step with a positive step (default "
-                        f"{d['grid']}; write --grid=START:STOP:STEP for negative starts)")
+                        "%(default)s; write --grid=START:STOP:STEP for negative starts)")
 
-    p, d = command("cantor-onb", "orthonormality and completeness diagnostics "
-                                 "of the Cantor exponential basis",
-                   kernel=False, measure=False, points=False)
-    p.add_argument("--level", type=_positive_int, default=None,
-                   help=f"frequency set level (default {d['level']})")
-    p.add_argument("--freq", type=int, default=None,
-                   help=f"completeness probe frequency (default {d['freq']})")
-    p.add_argument("--parseval-max", dest="parseval_max", type=_positive_int, default=None,
-                   help=f"largest level in the completeness table (default {d['parseval_max']})")
+    p = command("cantor-onb", "orthonormality and completeness diagnostics "
+                              "of the Cantor exponential basis",
+                tol=1e-12, kernel=False, measure=False, points=False)
+    p.add_argument("--level", type=_int_range(1, MAX_EXACT_LEVEL), default=6,
+                   help="frequency set level (default %(default)s)")
+    p.add_argument("--freq", type=int, default=2,
+                   help="completeness probe frequency (default %(default)s)")
+    # the completeness table starts at level 2
+    p.add_argument("--parseval-max", dest="parseval_max",
+                   type=_int_range(2, MAX_PARSEVAL_LEVEL), default=12,
+                   help="largest level in the completeness table (default %(default)s)")
 
     command("morphism", "pushforward ordering and commuting-diagram check "
                         "on the built-in atom refinement",
-            kernel=False, measure=False, points=False)
+            tol=1e-12, kernel=False, measure=False, points=False)
 
     return parser
 
 
-# config files bypass argparse, so their numbers go through the flags' parsers here
-_FILE_VALUE_PARSERS = {
-    "level": _positive_int, "scale": _positive_float, "tol": _positive_float, "seed": int,
-    "samples": _positive_int, "probes": _positive_int, "freq": int, "shift": float,
-    "support": _positive_int, "parseval_max": _positive_int,
-}
-
-
 def parse_config(argv=None) -> RunConfig:
-    """Parse flags, merge the optional config file, and resolve defaults.
+    """Parse flags and the optional config file into a resolved run.
 
-    Flags always override file values, and both override the command's row
-    of ``_COMMAND_DEFAULTS``.  Unknown file keys, malformed numbers, values
-    a flag would reject and values outside the library's limits are usage
-    errors.
+    The entries of a config file are read as ``--key=value`` flags placed
+    right after the command name, so the command's own parser checks them
+    and the flags given on the command line override them.
     """
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
-    values = vars(args)
-    config_path = values.pop("config", None)
-    if config_path:
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                overrides = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read config file: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file is not valid JSON: {exc}") from None
-        if not isinstance(overrides, dict):
-            raise UsageError("config file must hold a JSON object")
-        for key, val in overrides.items():
-            attr = key.replace("-", "_")
-            if attr not in values or attr == "command":
-                raise UsageError(f"unknown config key {key!r}")
-            if values[attr] is not None:
-                continue
-            parse = _FILE_VALUE_PARSERS.get(attr)
-            try:
-                values[attr] = val if parse is None else parse(str(val))
-            except (argparse.ArgumentTypeError, ValueError) as exc:
-                raise UsageError(f"config key {key!r}: {exc}") from None
-
-    defaults = {**_COMMON_DEFAULTS, **_COMMAND_DEFAULTS[values["command"]]}
-    config = RunConfig(**{
-        f.name: defaults.get(f.name) if values.get(f.name) is None else values[f.name]
-        for f in fields(RunConfig)
-    })
-    _check_limits(config)
+    args = _parse(parser, argv)
+    if args.config:
+        at = argv.index(args.command) + 1
+        args = _parse(parser, argv[:at] + _config_flags(args.config) + argv[at:])
+    config = RunConfig(**{f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
+    if config.level is not None and config.kernel not in (None, "cantor4"):
+        raise UsageError("--level applies only to --kernel cantor4")
     return config
 
 
-def _check_limits(cfg: RunConfig) -> None:
-    """Reject values the library refuses, with one message for flags and config keys."""
-    limits = [
-        ("level", 1, MAX_LAMBDA_LEVEL),  # Lambda4 frequencies and cantor4 truncation
-        ("parseval_max", 2, MAX_PARSEVAL_LEVEL),  # the completeness table starts at level 2
-    ]
-    if cfg.command == "gp":
-        limits.append(("samples", 2, None))  # a covariance estimate needs two samples
-    for name, low, high in limits:
-        value = getattr(cfg, name)
-        if value is None or (low <= value and (high is None or value <= high)):
-            continue
-        flag = "--" + name.replace("_", "-")
-        bound = f"at least {low}" if high is None else f"in {low}..{high}"
-        raise UsageError(f"{flag} must be {bound}, got {value}")
+def _parse(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
+    try:
+        return parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        raise UsageError(f"{exc.argument_name} {exc.message}") from None
+
+
+def _config_flags(path: str) -> list:
+    """The entries of a JSON config file as ``--key=value`` flags."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            entries = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read config file: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"config file is not valid JSON: {exc}") from None
+    if not isinstance(entries, dict):
+        raise UsageError("config file must hold a JSON object")
+    if "config" in entries:
+        raise UsageError("a config file cannot name another config file")
+    return [f"--{key.replace('_', '-')}={value}" for key, value in entries.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +397,9 @@ def make_measure(cfg: RunConfig):
         if kind == "cantor-ifs":
             return cantor_ifs(int(param or 12), scale=cfg.scale)
         if kind == "cantor-exact":
+            if cfg.kernel == "cantor4" and _kernel_setting(cfg, "level") > MAX_EXACT_LEVEL:
+                raise UsageError(f"--level must be at most {MAX_EXACT_LEVEL} on the exact "
+                                 "Cantor measure; use cantor-ifs:DEPTH above it")
             return cantor_exact(scale=cfg.scale)
         if kind == "band":
             return band_gauss_legendre(int(param or 160), scale=cfg.scale)
@@ -609,15 +594,15 @@ def _run_isometry(cfg: RunConfig) -> Report:
 
 def _run_carleson(cfg: RunConfig) -> Report:
     section, measure, ext = _boundary_setup(cfg)
-    eigenvalues = carleson_eigenvalues(ext, measure, section)
-    constant = float(eigenvalues[-1])
-    gap = abs(constant - 1.0)
+    # an empty section spans nothing, so its estimate 0 fails the unit verdict
+    member = membership_defect(ext, measure, section, tol=cfg.tol)
+    gap = abs(member.carleson_constant - 1.0)
     report = Report(command=cfg.command, config=_echo(cfg))
     report.scalars = {
-        "carleson_constant_estimate": constant,
+        "carleson_constant_estimate": member.carleson_constant,
         "total_mass": measure.total_mass,
     }
-    report.tables["pencil_eigenvalues"] = _spectrum_table(eigenvalues)
+    report.tables["pencil_eigenvalues"] = _spectrum_table(member.eigenvalues)
     report.add_verdict("unit-carleson-constant", gap, cfg.tol, gap <= cfg.tol)
     return report
 

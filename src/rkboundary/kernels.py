@@ -458,7 +458,7 @@ def pd_check(gram, tol: float = DEFAULT_PSD_TOL) -> PdVerdict:
     return PdVerdict(bool(w[0] >= threshold), float(w[0]), threshold)
 
 
-def build_section(kernel: Kernel, points, psd_tol: float = DEFAULT_PSD_TOL) -> Section:
+def build_section(kernel: Kernel, points) -> Section:
     """Assemble and validate the Gram matrix of a point list.
 
     Rejects point lists containing indistinguishable entries (kernel distance
@@ -469,7 +469,7 @@ def build_section(kernel: Kernel, points, psd_tol: float = DEFAULT_PSD_TOL) -> S
     if pts.ndim != 1:
         raise SectionError("points must form a one-dimensional list")
     g = kernel.gram(pts)
-    verdict = pd_check(g, psd_tol)
+    verdict = pd_check(g, DEFAULT_PSD_TOL)
     if not verdict.passed:
         raise SectionError(
             f"gram matrix is not PSD: min eigenvalue {verdict.min_eigenvalue:.3e} "

@@ -11,6 +11,7 @@ from .measures import cantor4_fourier, cantor_ifs
 
 __all__ = [
     "MAX_LAMBDA_LEVEL",
+    "MAX_EXACT_LEVEL",
     "lambda4_set",
     "lambda4_frequency_matrix",
     "in_lambda4",
@@ -22,6 +23,9 @@ __all__ = [
 
 MAX_LAMBDA_LEVEL = 20
 MAX_PARSEVAL_LEVEL = 14
+# the frequency matrix holds 4**level complex entries: 317 MB and 10 s at level
+# 11 on a 2-CPU host, about four times that per further level
+MAX_EXACT_LEVEL = 12
 
 
 def lambda4_set(level: int) -> np.ndarray:
@@ -46,8 +50,11 @@ def lambda4_frequency_matrix(level: int) -> tuple[np.ndarray, np.ndarray]:
     M is the Gram matrix of the exponentials e^{2 pi i lambda x} in L2 of the
     quarter-Cantor measure: the identity up to rounding, by orthonormality.  The
     truncated Cantor kernel is a power sum over exactly these frequencies, so
-    its boundary products against the exact measure reduce to M.
+    its boundary products against the exact measure reduce to M.  Levels above
+    ``MAX_EXACT_LEVEL`` are refused before anything is allocated.
     """
+    if level > MAX_EXACT_LEVEL:
+        raise ValueError(f"level must be at most {MAX_EXACT_LEVEL} for the frequency matrix")
     lam = lambda4_set(level)
     return lam, cantor4_fourier((lam[None, :] - lam[:, None]).astype(float))
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -46,14 +47,14 @@ def test_defaults_resolved():
     assert cfg.command == "factorize"
     assert cfg.kernel == "szego"
     assert cfg.tol == 1e-8
-    assert cfg.seed == 0
+    assert cfg.seed is None  # factorize draws no random numbers
     assert cfg.fmt == "json"
 
 
 def test_config_file_merging(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"kernel": "sinc", "tol": 1e-6, "seed": 9}))
-    cfg = parse_config(["factorize", "--config", str(path), "--seed", "4"])
+    cfg = parse_config(["isometry", "--config", str(path), "--seed", "4"])
     assert cfg.kernel == "sinc"
     assert cfg.tol == 1e-6
     assert cfg.seed == 4  # flags override file values
@@ -62,11 +63,31 @@ def test_config_file_merging(tmp_path):
 def test_config_file_unknown_key(tmp_path, capsys):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"not-a-flag": 1}))
-    assert main(["factorize", "--config", str(path)]) == EXIT_USAGE
+    assert main(["isometry", "--config", str(path)]) == EXIT_USAGE
     path.write_text(json.dumps({"seed": "abc"}))
-    assert main(["factorize", "--config", str(path)]) == EXIT_USAGE
+    assert main(["isometry", "--config", str(path)]) == EXIT_USAGE
     path.write_text(json.dumps({"samples": -5}))  # the flag parser would reject it
     assert main(["isometry", "--config", str(path)]) == EXIT_USAGE
+
+
+def test_config_keys_are_long_flag_names(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"format": "csv", "parseval-max": 4, "level": 3}))
+    assert main(["cantor-onb", "--config", str(path)]) == EXIT_PASS
+    assert capsys.readouterr().out.startswith("# report,cantor-onb")
+    path.write_text(json.dumps({"fmt": "csv"}))  # the attribute name is no flag
+    assert main(["cantor-onb", "--config", str(path)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["factorize", "--seed", "1"],
+    ["carleson", "--seed", "1"],
+    ["pd-check", "--scale", "2"],
+    ["carleson", "--kernel", "szego", "--level", "3"],
+    ["pd-check", "--kernel", "sinc", "--level", "3"],
+])
+def test_flag_a_command_does_not_read_is_usage_error(argv, capsys):
+    assert main(argv) == EXIT_USAGE
 
 
 def test_points_inline_and_file(tmp_path):
@@ -143,6 +164,27 @@ def test_factorize_empty_section(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["tables"]["factorization_deviation"]["rows"] == []
     assert doc["tables"]["pencil_eigenvalues"]["rows"] == []
+
+
+def test_carleson_empty_section(capsys):
+    # the empty span witnesses no unit constant: a failed verdict, not a crash
+    assert main(["carleson", "--points", "grid0"]) == EXIT_VERDICT_FAIL
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["scalars"]["carleson_constant_estimate"] == 0.0
+    assert doc["tables"]["pencil_eigenvalues"]["rows"] == []
+    assert doc["verdicts"][0]["value"] == 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["factorize", "--kernel", "cantor4", "--level", "15"],
+    ["isometry", "--kernel", "cantor4", "--measure", "cantor-exact", "--level", "13"],
+    ["cantor-onb", "--level", "13"],
+])
+def test_exact_cantor_route_above_size_limit_is_usage_error(argv, capsys):
+    started = time.perf_counter()
+    assert main(argv) == EXIT_USAGE
+    assert time.perf_counter() - started < 5.0
+    assert capsys.readouterr().err.startswith("usage error: --level must be")
 
 
 def test_project_empty_section(capsys):

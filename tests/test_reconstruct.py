@@ -11,6 +11,7 @@ from rkboundary import (
     parseval_table,
     shannon_reconstruct,
 )
+from rkboundary.reconstruct import MAX_EXACT_LEVEL, lambda4_frequency_matrix
 
 
 # -- frequency set ------------------------------------------------------------
@@ -34,6 +35,12 @@ def test_lambda4_level_guard():
         lambda4_set(0)
     with pytest.raises(ValueError):
         lambda4_set(21)
+
+
+def test_frequency_matrix_level_guard():
+    # 4**13 complex entries would need over a gigabyte; refused up front
+    with pytest.raises(ValueError, match="at most 12"):
+        lambda4_frequency_matrix(MAX_EXACT_LEVEL + 1)
 
 
 def test_lambda4_digit_recursion():
