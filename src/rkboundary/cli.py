@@ -204,8 +204,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if not (value > 0 and np.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value
 
 
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=_positive_float, default=tol,
                        help="verdict tolerance (default %(default)s)")
         if seed:
-            p.add_argument("--seed", type=int, default=0,
+            p.add_argument("--seed", type=_int_range(0), default=0,
                            help="random generator seed (default %(default)s)")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
         p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
@@ -714,8 +714,10 @@ def _run_shannon(cfg: RunConfig) -> Report:
 def _run_cantor_onb(cfg: RunConfig) -> Report:
     lam, inner = lambda4_frequency_matrix(cfg.level)
     off = np.abs(inner - np.eye(lam.shape[0]))
-    max_off = float(np.max(off - np.diag(np.diag(off)))) if lam.shape[0] > 1 else 0.0
     max_diag = float(np.max(np.diag(off)))
+    np.fill_diagonal(off, 0.0)
+    row_max = np.max(off, axis=1)
+    max_off = float(np.max(row_max))
     mu_hat_one = float(np.abs(cantor4_fourier(1.0)))
     table = parseval_table(cfg.freq, cfg.parseval_max, min_level=2)
     defects = [d for _, d in table]
@@ -731,10 +733,7 @@ def _run_cantor_onb(cfg: RunConfig) -> Report:
     }
     report.tables["row_max_offdiagonal"] = {
         "columns": ["lambda", "max_offdiagonal"],
-        "rows": [
-            [int(lam[i]), float(np.max(np.delete(off[i], i))) if lam.shape[0] > 1 else 0.0]
-            for i in range(lam.shape[0])
-        ],
+        "rows": [[int(f), float(m)] for f, m in zip(lam, row_max)],
     }
     report.tables["parseval_defects"] = {
         "columns": ["level", "defect"],

@@ -23,8 +23,8 @@ __all__ = [
 
 MAX_LAMBDA_LEVEL = 20
 MAX_PARSEVAL_LEVEL = 14
-# the frequency matrix holds 4**level complex entries: 317 MB and 10 s at level
-# 11 on a 2-CPU host, about four times that per further level
+# the frequency matrix holds 4**level complex entries: about 130 MB peak and
+# 0.5 s at level 11 on a 2-CPU host, four times the memory per further level
 MAX_EXACT_LEVEL = 12
 
 
@@ -37,11 +37,16 @@ def lambda4_set(level: int) -> np.ndarray:
     """
     if not 1 <= level <= MAX_LAMBDA_LEVEL:
         raise ValueError(f"level must be in 1..{MAX_LAMBDA_LEVEL} (int64 overflow guard)")
+    return _bits_in_base(level, 4)
+
+
+def _bits_in_base(level: int, base: int) -> np.ndarray:
+    """sum_i b_i base**i for the bits b_i of each m in 0..2**level - 1."""
     m = np.arange(2 ** level, dtype=np.int64)
-    lam = np.zeros_like(m)
+    out = np.zeros_like(m)
     for i in range(level):
-        lam += ((m >> i) & 1) * np.int64(4) ** i
-    return lam
+        out += ((m >> i) & 1) * np.int64(base) ** i
+    return out
 
 
 def lambda4_frequency_matrix(level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -52,11 +57,26 @@ def lambda4_frequency_matrix(level: int) -> tuple[np.ndarray, np.ndarray]:
     truncated Cantor kernel is a power sum over exactly these frequencies, so
     its boundary products against the exact measure reduce to M.  Levels above
     ``MAX_EXACT_LEVEL`` are refused before anything is allocated.
+
+    A difference of two frequencies has base-4 digits t_i - 1 with t_i in
+    {0, 1, 2}, so only 3**level of the 4**level entries are distinct.  The
+    transform is evaluated once on the table of all sum_i (t_i - 1) 4**i,
+    listed in the order of the base-3 code sum_i t_i 3**i, and M is gathered
+    from it: with c the bits of each frequency read in base 3, lambda_k -
+    lambda_j sits at code c_k - c_j + (3**level - 1) / 2.  The table has the
+    same extreme frequencies +-(4**level - 1) / 3 as the full difference
+    matrix, so the transform truncates its product at the same factor and M is
+    bit-identical to evaluating every entry.
     """
     if level > MAX_EXACT_LEVEL:
         raise ValueError(f"level must be at most {MAX_EXACT_LEVEL} for the frequency matrix")
     lam = lambda4_set(level)
-    return lam, cantor4_fourier((lam[None, :] - lam[:, None]).astype(float))
+    diffs = np.zeros(1, dtype=np.int64)
+    for i in range(level):
+        diffs = (np.arange(-1, 2, dtype=np.int64)[:, None] * np.int64(4) ** i + diffs).ravel()
+    table = cantor4_fourier(diffs.astype(float))
+    code = _bits_in_base(level, 3)
+    return lam, table[code[None, :] + (3 ** level - 1) // 2 - code[:, None]]
 
 
 def in_lambda4(n) -> bool:

@@ -207,6 +207,12 @@ def test_adjoint_roundtrip_node_free_measure_is_usage_error(capsys):
     (["cantor-onb"], "parseval_max", 1),
     (["cantor-onb"], "level", 21),
     (["factorize", "--kernel", "cantor4"], "level", 21),
+    (["carleson"], "scale", "inf"),
+    (["factorize"], "tol", "inf"),
+    (["isometry"], "scale", "inf"),
+    (["isometry"], "seed", -1),
+    (["adjoint-roundtrip"], "seed", -1),
+    (["gp"], "seed", -1),
 ])
 def test_out_of_range_value_is_usage_error(argv, key, value, tmp_path, capsys):
     flag = "--" + key.replace("_", "-")
@@ -325,10 +331,11 @@ def test_cantor_frequency_matrix_built_once_per_run(monkeypatch):
     import rkboundary
 
     owners = [rkboundary.cli, rkboundary.boundary, rkboundary.reconstruct]
-    calls = _spy(monkeypatch, owners, "cantor4_fourier", lambda t: np.ndim(t) == 2)
+    calls = _spy(monkeypatch, owners, "cantor4_fourier")
     run(parse_config(["isometry", "--kernel", "cantor4", "--measure", "cantor-exact",
                       "--level", "7", "--samples", "20"]))
-    assert len(calls) == 1
+    # one evaluation on the 3^7 distinct frequency differences, none on the 2^7 x 2^7 matrix
+    assert [np.shape(t) for (t,) in calls] == [(3 ** 7,)]
 
 
 # -- emission -----------------------------------------------------------------

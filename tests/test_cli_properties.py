@@ -14,7 +14,7 @@ import tempfile
 from datetime import timedelta
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rkboundary.cli import main
@@ -33,8 +33,8 @@ def _or_malformed(valid):
 _TOL = _or_malformed(st.sampled_from(["1e-12", "1e-8", "1e-3", "0.5"]))
 _SECTION = {
     "kernel": st.sampled_from(["szego", "bargmann", "cantor4", "sinc", "nosuch"]),
-    # levels 5..12 on the default exact Cantor measure build the 4^L matrix: too slow here
-    "level": st.one_of(_ints(1, 4), st.sampled_from(["0", "13", "20", "21", "x"])),
+    # levels 10..12 on the default exact Cantor measure build a 4^L matrix of 16-268 MB
+    "level": st.one_of(_ints(1, 9), st.sampled_from(["0", "13", "20", "21", "x"])),
     "points": st.one_of(st.integers(0, 12).map(lambda n: f"grid{n}"),
                         st.sampled_from(["0.1,0.2+0.3j", "1.5", "0.5,0.5", "x", ""])),
     "tol": _TOL,
@@ -90,6 +90,8 @@ def _run(argv):
 
 @settings(max_examples=60, deadline=timedelta(seconds=5), derandomize=True, database=None)
 @given(invocations())
+# the largest drawn level on the default exact Cantor measure, which the derandomized draw may miss
+@example(("isometry", {"kernel": "cantor4", "level": "9", "samples": "10"}, {"level"}, True))
 def test_flag_and_config_key_give_the_same_outcome(invocation):
     command, values, in_file, underscored = invocation
     as_flags = [f"--{key}={value}" for key, value in values.items()]

@@ -1,5 +1,6 @@
 """Quadrature measures, the Cantor transform, and pushforwards."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -106,6 +107,36 @@ def test_cantor4_fourier_cross_oracle_against_ifs():
     for t in (1.0, 2.0, 3.5, 7.0):
         direct = integrate(mu, lambda x, t=t: np.exp(2j * np.pi * t * x))
         assert abs(direct - cantor4_fourier(t)) < 1e-9
+
+
+def _mu_hat_oracle(t: float) -> complex:
+    """prod_j (1 + e^{i pi t / 4^j}) / 2 at 50 digits, cut once a factor is 1e-50 from 1."""
+    with mpmath.workdps(50):
+        x, out, eps = mpmath.mpf(t), mpmath.mpc(1), mpmath.mpf(10) ** -50
+        while abs(x) > eps:
+            out *= (1 + mpmath.expjpi(x)) / 2
+            x /= 4
+        return complex(out)
+
+
+def test_cantor4_fourier_matches_high_precision_oracle():
+    # distinct differences of the level-12 frequencies: base-4 digits in {-1, 0, 1}
+    level = 12
+    extreme = (4 ** level - 1) // 3
+    code = np.random.default_rng(0).integers(0, 3 ** level, size=40)
+    drawn = sum(((code // 3 ** i) % 3 - 1) * 4 ** i for i in range(level))
+    diffs = np.concatenate([[0, extreme, -extreme, 1, -1, 3, 5, 4 ** 11, -4 ** 11], drawn])
+    # frequencies off the difference set, where the transform does not vanish
+    generic = np.array([2.0, 0.5, 1 / 3, -7.25, 1000.7, 12345.678, 2 ** 20 + 0.1,
+                        2 * 4 ** 10, 6 * 4 ** 5])
+    t = np.concatenate([diffs.astype(float), generic])
+    got = cantor4_fourier(t)
+    want = np.array([_mu_hat_oracle(x) for x in t])
+    assert want[0] == 1.0 and np.all(want[1:diffs.size] == 0.0)
+    assert np.all(np.abs(want[diffs.size:]) > 1e-7)
+    # zeros at the 1e-16 level; elsewhere within the documented 1e-14 tail bound
+    assert np.max(np.abs(got[:diffs.size] - want[:diffs.size])) < 1e-15
+    assert np.max(np.abs(got[diffs.size:] - want[diffs.size:])) < 1e-14
 
 
 def test_cantor4_fourier_conjugate_symmetry(rng):

@@ -11,6 +11,7 @@ from rkboundary import (
     parseval_table,
     shannon_reconstruct,
 )
+from rkboundary.measures import cantor4_fourier
 from rkboundary.reconstruct import MAX_EXACT_LEVEL, lambda4_frequency_matrix
 
 
@@ -41,6 +42,14 @@ def test_frequency_matrix_level_guard():
     # 4**13 complex entries would need over a gigabyte; refused up front
     with pytest.raises(ValueError, match="at most 12"):
         lambda4_frequency_matrix(MAX_EXACT_LEVEL + 1)
+
+
+@pytest.mark.parametrize("level", range(1, 10))
+def test_frequency_matrix_equals_transform_of_every_difference(level):
+    # the table of distinct differences must reproduce the full evaluation bit for bit
+    lam, inner = lambda4_frequency_matrix(level)
+    assert np.array_equal(lam, lambda4_set(level))
+    assert np.array_equal(inner, cantor4_fourier((lam[None, :] - lam[:, None]).astype(float)))
 
 
 def test_lambda4_digit_recursion():
