@@ -32,6 +32,7 @@ from .boundary import (
     carleson_constant,
     commuting_diagram_defect,
     isometry_defect,
+    isometry_norms,
     membership_defect,
     morphism_check,
     onto_residual,
@@ -149,6 +150,7 @@ __all__ = [
     "boundary_gram",
     "membership_defect",
     "isometry_defect",
+    "isometry_norms",
     "boundary_transform",
     "adjoint_apply",
     "pencil_eigenvalues",

@@ -12,6 +12,11 @@ __all__ = [
     "pivoted_cholesky",
 ]
 
+# pivoted_cholesky: a residual diagonal below PRUNE_TOL of the largest diagonal
+# is zero; one below -NEGATIVE_TOL of that scale is a negative direction
+PRUNE_TOL = 1e-12
+NEGATIVE_TOL = 1e-10
+
 
 class NotHermitianError(ValueError):
     """A matrix expected to be Hermitian is not."""
@@ -41,29 +46,30 @@ def require_hermitian(matrix, rel_tol: float = 1e-12, what: str = "matrix") -> n
     return 0.5 * (a + a.conj().T)
 
 
-def pivoted_cholesky(matrix, rel_tol: float = 1e-12, neg_tol: float | None = None):
+def pivoted_cholesky(matrix):
     """Diagonally pivoted Cholesky factorization of a Hermitian PSD matrix.
 
     Returns ``(factor, pivots, rank)`` with ``factor @ factor.conj().T``
     reproducing the input.  Rows of ``factor`` follow the original ordering
     (so the factor is triangular up to the pivot permutation) and columns from
     ``rank`` on are zero, which is how rank deficiency shows up.
-    ``pivots[:rank]`` lists the retained indices in elimination order.
+    ``pivots`` lists the ``rank`` retained indices in elimination order, so
+    ``factor[pivots, :rank]`` is the lower-triangular Cholesky factor of the
+    matrix restricted to them.
 
-    ``rel_tol`` is the relative cutoff below which a residual diagonal entry is
-    treated as zero; ``neg_tol`` (default ``100 * rel_tol``) is how negative a
-    residual diagonal may go before the matrix is declared indefinite.
+    Elimination stops once every residual diagonal entry is at most
+    ``PRUNE_TOL`` times the largest diagonal entry; a residual diagonal below
+    ``-NEGATIVE_TOL`` times that scale (or one) declares the matrix indefinite.
+    A looser prune is a prefix of the same elimination: truncate the factor.
     """
     a = np.array(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     n = a.shape[0]
-    if neg_tol is None:
-        neg_tol = 100.0 * rel_tol
     diag = np.real(np.diag(a))
     scale = float(np.max(diag)) if n else 0.0
-    cutoff = rel_tol * max(scale, 0.0)
-    neg_cut = neg_tol * max(scale, 1.0)
+    cutoff = PRUNE_TOL * max(scale, 0.0)
+    neg_cut = NEGATIVE_TOL * max(scale, 1.0)
     if n and float(np.min(diag)) < -neg_cut:
         raise NotPositiveSemidefiniteError(
             f"diagonal entry {float(np.min(diag)):.3e} is negative"

@@ -23,15 +23,12 @@ from .kernels import (
     RkhsElement,
     Section,
     SectionError,
-    h_norm_sq,
 )
 from .measures import QuadMeasure, pushforward
 from .reconstruct import lambda4_frequency_matrix
 
 __all__ = [
     "MEMBERSHIP_TOL",
-    "ALGEBRA_TOL",
-    "PENCIL_PRUNE_TOL",
     "BoundaryMatrix",
     "MembershipReport",
     "ProjectionResult",
@@ -39,6 +36,7 @@ __all__ = [
     "CommutingReport",
     "boundary_gram",
     "membership_defect",
+    "isometry_norms",
     "isometry_defect",
     "boundary_transform",
     "adjoint_apply",
@@ -50,8 +48,6 @@ __all__ = [
 ]
 
 MEMBERSHIP_TOL = 1e-8
-ALGEBRA_TOL = 1e-10
-PENCIL_PRUNE_TOL = 1e-12
 RIDGE_FACTOR = 1e-12
 
 
@@ -72,17 +68,19 @@ class BoundaryMatrix:
     evaluation: np.ndarray
     frequencies: np.ndarray | None
 
-    def transform_norm_sq(self, coeffs: np.ndarray) -> float:
-        """Squared L2 norm of the boundary transform b -> sum_j c_j K^B(s_j, b).
+    def transform_norm_sq(self, coeffs: np.ndarray) -> np.ndarray:
+        """Squared L2 norms of the boundary transforms b -> sum_j c_j K^B(s_j, b)
+        of each row c of a ``(trials, n)`` coefficient stack.
 
         Direct quadrature of |c E|^2 on node measures; the quadratic form of
         the frequency matrix in the amplitudes c conj(P) on the exact one.
         """
         if self.frequencies is None:
             vals = coeffs @ self.evaluation
-            return float(np.sum(self.measure.weights * np.abs(vals) ** 2))
+            return np.sum(self.measure.weights * np.abs(vals) ** 2, axis=-1)
         amp = coeffs @ np.conj(self.evaluation)
-        return float(np.real(np.vdot(amp, self.frequencies @ amp))) * self.measure.scale
+        form = np.sum(np.conj(amp) * (amp @ self.frequencies.T), axis=-1)
+        return np.real(form) * self.measure.scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,14 +175,29 @@ def boundary_transform(f: RkhsElement, ext: BoundaryExtension):
     return transform
 
 
+def isometry_norms(bmat: BoundaryMatrix, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Native and boundary squared norms of each row of a ``(trials, n)`` stack.
+
+    Row c stands for f = sum_j c_j K(s_j, .) on the boundary matrix's section;
+    its native norm is the quadratic form of conj(G) (see
+    :func:`~rkboundary.kernels.h_norm_sq`) and its boundary norm is
+    ``bmat.transform_norm_sq``.  A member pair gives equal norms.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    form = np.conj(bmat.section.gram)
+    native = np.real(np.sum(np.conj(c) * (c @ form.T), axis=-1))
+    return native, bmat.transform_norm_sq(c)
+
+
 def isometry_defect(f: RkhsElement, ext: BoundaryExtension, measure: QuadMeasure) -> float:
     """|  ||f||^2 - ||transform of f||^2_{L2(mu)}  | for one element.
 
     Assembles the boundary matrix of the element's section.  To check many
-    elements of one section, assemble :func:`boundary_gram` once and compare
-    ``h_norm_sq`` with its ``transform_norm_sq`` per element.
+    elements of one section, assemble :func:`boundary_gram` once and pass
+    their coefficient rows to :func:`isometry_norms`.
     """
-    return abs(h_norm_sq(f) - boundary_gram(ext, measure, f.section).transform_norm_sq(f.coeffs))
+    native, transformed = isometry_norms(boundary_gram(ext, measure, f.section), f.coeffs[None, :])
+    return float(abs(native[0] - transformed[0]))
 
 
 def _node_samples(boundary_values, measure: QuadMeasure) -> np.ndarray:
@@ -217,28 +230,20 @@ def pencil_eigenvalues(nmat: np.ndarray, norm_matrix: np.ndarray) -> np.ndarray:
 
     Q is the matrix of the native norm's quadratic form.  Kernel Gram matrices
     are notoriously ill conditioned for clustered points, so the pencil is
-    restricted to the pivots a Cholesky factorization retains at relative
-    tolerance ``PENCIL_PRUNE_TOL`` (escalated if the dense solver still
-    balks).  The restricted pencil is reduced to the standard Hermitian
-    problem L^-1 N L^-H with the Cholesky factor Q = L L^H.
+    restricted to the pivots that :func:`pivoted_cholesky` retains.  Their
+    rows of its factor are the Cholesky factor L of the restricted Q = L L^H,
+    which reduces the restricted pencil to the standard Hermitian problem
+    L^-1 N L^-H.
     """
-    for tol in (PENCIL_PRUNE_TOL, PENCIL_PRUNE_TOL * 1e2, PENCIL_PRUNE_TOL * 1e4):
-        _, pivots, rank = pivoted_cholesky(norm_matrix, rel_tol=tol)
-        if rank == 0:
-            raise NotPositiveSemidefiniteError(
-                "norm form is numerically singular; pruning exhausted the section"
-            )
-        idx = np.sort(pivots[:rank])
-        nr = nmat[np.ix_(idx, idx)]
-        qr = norm_matrix[np.ix_(idx, idx)]
-        try:
-            low = np.linalg.cholesky(qr)
-        except np.linalg.LinAlgError:
-            continue
-        half = np.linalg.solve(low, nr)
-        reduced = np.linalg.solve(low, half.conj().T)
-        return np.linalg.eigvalsh(0.5 * (reduced + reduced.conj().T))
-    raise NotPositiveSemidefiniteError("generalized eigenproblem failed after pruning")
+    factor, pivots, rank = pivoted_cholesky(norm_matrix)
+    if rank == 0:
+        raise NotPositiveSemidefiniteError(
+            "norm form is numerically singular; pruning exhausted the section"
+        )
+    low = factor[pivots, :rank]
+    half = np.linalg.solve(low, nmat[np.ix_(pivots, pivots)])
+    reduced = np.linalg.solve(low, half.conj().T)
+    return np.linalg.eigvalsh(0.5 * (reduced + reduced.conj().T))
 
 
 def carleson_constant(ext: BoundaryExtension, measure: QuadMeasure, section: Section) -> float:

@@ -25,6 +25,7 @@ from .boundary import (
     boundary_gram,
     boundary_transform,
     commuting_diagram_defect,
+    isometry_norms,
     membership_defect,
     morphism_check,
     onto_residual,
@@ -41,7 +42,6 @@ from .kernels import (
     build_section,
     element,
     evaluate_element,
-    h_norm_sq,
     pd_check,
 )
 from .measures import (
@@ -199,12 +199,19 @@ def _json_default(value):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _positive_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
-    if not (value > 0 and np.isfinite(value)):
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value
 
@@ -291,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("shannon", "cardinal-series reconstruction of a shifted sinc",
                 tol=1e-3, kernel=False, measure=False, points=False)
-    p.add_argument("--shift", type=float, default=0.3,
+    p.add_argument("--shift", type=_finite_float, default=0.3,
                    help="target shift (default %(default)s)")
     p.add_argument("--support", type=_int_range(1), default=1000,
                    help="samples at integers in [-support, support] (default %(default)s)")
@@ -571,22 +578,18 @@ def _run_factorize(cfg: RunConfig) -> Report:
 
 def _run_isometry(cfg: RunConfig) -> Report:
     section, measure, ext = _boundary_setup(cfg)
-    bmat = boundary_gram(ext, measure, section)
     rng = np.random.default_rng(cfg.seed)
-    rows = []
-    worst = 0.0
-    for trial in range(cfg.samples):
-        f = element(section, _random_coeffs(rng, section.size))
-        norm_sq = h_norm_sq(f)
-        defect = abs(norm_sq - bmat.transform_norm_sq(f.coeffs))
-        normalized = defect / (1.0 + norm_sq)
-        worst = max(worst, normalized)
-        rows.append([trial, float(norm_sq), float(defect), float(normalized)])
+    coeffs = np.array([_random_coeffs(rng, section.size) for _ in range(cfg.samples)])
+    norm_sq, transformed = isometry_norms(boundary_gram(ext, measure, section), coeffs)
+    defect = np.abs(norm_sq - transformed)
+    normalized = defect / (1.0 + norm_sq)
+    worst = float(np.max(normalized))
     report = Report(command=cfg.command, config=_echo(cfg))
     report.scalars = {"max_normalized_defect": worst}
     report.tables["isometry_trials"] = {
         "columns": ["trial", "norm_sq", "defect", "normalized_defect"],
-        "rows": rows,
+        "rows": [[trial, float(a), float(d), float(x)]
+                 for trial, (a, d, x) in enumerate(zip(norm_sq, defect, normalized))],
     }
     report.add_verdict("isometry", worst, cfg.tol, worst < cfg.tol)
     return report

@@ -65,7 +65,7 @@ def build_ensemble(section: Section, seed: int) -> GaussianEnsemble:
     rejected.  The refactorization residual is checked against FACTOR_TOL.
     """
     g = section.gram
-    factor, _, _ = pivoted_cholesky(g, rel_tol=1e-12, neg_tol=1e-10)
+    factor, _, _ = pivoted_cholesky(g)
     gap = 0.0
     if section.size:
         scale = float(np.max(np.real(np.diag(g))))

@@ -29,11 +29,13 @@ from rkboundary import (
     evaluate_element,
     h_norm_sq,
     isometry_defect,
+    isometry_norms,
     membership_defect,
     morphism_check,
     onto_residual,
     pencil_eigenvalues,
     periodic_uniform,
+    pivoted_cholesky,
     pushforward,
     scale_measure,
 )
@@ -150,6 +152,28 @@ def test_isometry_cantor_exact(rng):
         c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         f = element(section, c)
         assert isometry_defect(f, ext, mu) < 1e-10 * (1.0 + h_norm_sq(f))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_isometry_norms_of_a_stack_match_each_row(exact, rng):
+    if exact:
+        kernel = Cantor4Kernel(level=5)
+        section = build_section(kernel, spiral_points(5, 0.3, 0.85))
+        mu = cantor_exact()
+    else:
+        kernel, _, mu, section = szego_setup()
+    ext = kernel.boundary_extension()
+    bmat = boundary_gram(ext, mu, section)
+    coeffs = rng.standard_normal((7, section.size)) + 1j * rng.standard_normal((7, section.size))
+    native, transformed = isometry_norms(bmat, coeffs)
+    assert native.shape == transformed.shape == (7,)
+    for c, a, b in zip(coeffs, native, transformed):
+        f = element(section, c)
+        assert a == pytest.approx(h_norm_sq(f), rel=1e-12)
+        if not exact:  # direct quadrature of the transform on the nodes
+            vals = boundary_transform(f, ext)(mu.nodes)
+            assert b == pytest.approx(float(np.sum(mu.weights * np.abs(vals) ** 2)), rel=1e-12)
+        assert isometry_defect(f, ext, mu) == pytest.approx(abs(a - b), abs=1e-12 * (1.0 + a))
 
 
 # -- boundary transform -----------------------------------------------------
@@ -302,31 +326,42 @@ def test_pencil_szego_section_matches_oracle():
     assert np.max(np.abs(got - expected)) <= cond * 1e-15 * np.max(np.abs(expected))
 
 
-def test_pencil_escalates_when_cholesky_fails(monkeypatch):
+def test_pencil_factors_the_norm_form_once(monkeypatch):
     nmat, qmat = random_pencil(np.random.default_rng(5), 6, 1e3)
-    tolerances = []
+    factored = []
     original_pivoted = rkboundary.boundary.pivoted_cholesky
 
-    def recording_pivoted(matrix, rel_tol):
-        tolerances.append(rel_tol)
-        return original_pivoted(matrix, rel_tol=rel_tol)
+    def recording_pivoted(matrix):
+        factored.append(np.shape(matrix))
+        return original_pivoted(matrix)
 
-    original_cholesky = np.linalg.cholesky
-    factored = []
-
-    def failing_once(matrix):
-        factored.append(matrix.shape)
-        if len(factored) == 1:
-            raise np.linalg.LinAlgError("not positive definite")
-        return original_cholesky(matrix)
+    def forbidden_cholesky(matrix):
+        raise AssertionError("the pencil refactored the norm form")
 
     monkeypatch.setattr(rkboundary.boundary, "pivoted_cholesky", recording_pivoted)
-    monkeypatch.setattr(np.linalg, "cholesky", failing_once)
+    monkeypatch.setattr(np.linalg, "cholesky", forbidden_cholesky)
     got = pencil_eigenvalues(nmat, qmat)
-    assert tolerances == [1e-12, pytest.approx(1e-10)]
-    assert factored == [(6, 6), (6, 6)]
+    assert factored == [(6, 6)]
     expected = pencil_oracle(nmat, qmat)
     assert np.max(np.abs(got - expected)) <= 1e3 * 1e-15 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n, rank", [(8, 3), (20, 12)])
+def test_pruned_pencil_matches_oracle_on_retained_pivots(n, rank):
+    rng = np.random.default_rng([n, rank])
+    a = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    qmat = a @ a.conj().T
+    qmat = 0.5 * (qmat + qmat.conj().T)
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    nmat = 0.5 * (b + b.conj().T)
+    _, pivots, kept = pivoted_cholesky(qmat)
+    assert kept == rank  # Q has rank r, so pruning drops n - r pivots
+    retained = np.ix_(pivots, pivots)
+    expected = pencil_oracle(nmat[retained], qmat[retained])
+    got = pencil_eigenvalues(nmat, qmat)
+    assert got.shape == (rank,)
+    cond = np.linalg.cond(qmat[retained])
+    assert np.max(np.abs(got - expected)) <= cond * 1e-15 * np.max(np.abs(expected))
 
 
 # -- projections ------------------------------------------------------------

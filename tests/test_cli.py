@@ -213,6 +213,8 @@ def test_adjoint_roundtrip_node_free_measure_is_usage_error(capsys):
     (["isometry"], "seed", -1),
     (["adjoint-roundtrip"], "seed", -1),
     (["gp"], "seed", -1),
+    (["shannon"], "shift", "nan"),
+    (["shannon"], "shift", "inf"),
 ])
 def test_out_of_range_value_is_usage_error(argv, key, value, tmp_path, capsys):
     flag = "--" + key.replace("_", "-")
