@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -30,7 +31,7 @@ from .boundary import (
     morphism_check,
     onto_residual,
 )
-from .gaussian import build_ensemble, covariance_gap, empirical_covariance, sample
+from .gaussian import build_ensemble, covariance_gap, empirical_covariance
 from .kernels import (
     BargmannKernel,
     Cantor4Kernel,
@@ -147,12 +148,34 @@ def _cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite cell {value!r}")
         return repr(float(value))
     return str(value)
 
 
+def _nonfinite_keys(value) -> list | None:
+    """Keys down to the first NaN or infinite number under ``value``, else None."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (list, tuple)):
+        items = enumerate(value)
+    else:
+        nonfinite = isinstance(value, (float, np.floating)) and not math.isfinite(value)
+        return [] if nonfinite else None
+    for key, child in items:
+        found = _nonfinite_keys(child)
+        if found is not None:
+            return [key, *found]
+    return None
+
+
 def emit(report: Report, fmt: str = "json") -> str:
-    """Serialize a report; identical reports produce identical bytes."""
+    """Serialize a report; identical reports produce identical bytes.
+
+    A NaN or infinite value has no JSON form, so it is refused in either
+    format with a ValueError that names the field.
+    """
     doc = {
         "command": report.command,
         "config": report.config,
@@ -161,22 +184,37 @@ def emit(report: Report, fmt: str = "json") -> str:
         "verdicts": report.verdicts,
         "version": report.version,
     }
+    try:
+        return _serialize(doc, fmt)
+    except ValueError:
+        keys = _nonfinite_keys(doc)
+        if keys is None:
+            raise
+        field_name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+        raise ValueError(f"report value {field_name[1:]} is not finite") from None
+
+
+def _serialize(doc: dict, fmt: str) -> str:
+    """JSON or CSV text of a report document; a non-finite number raises ValueError."""
     if fmt == "json":
-        return json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False,
+                          default=_json_default) + "\n"
     if fmt == "csv":
-        lines = [f"# report,{report.command},{report.version}"]
+        lines = [f"# report,{doc['command']},{doc['version']}"]
         lines.append("# scalars")
         lines.append("name,value")
-        for name in sorted(report.scalars):
-            lines.append(f"{name},{_cell(report.scalars[name])}")
+        scalars = doc["scalars"]
+        for name in sorted(scalars):
+            lines.append(f"{name},{_cell(scalars[name])}")
         lines.append("# verdicts")
         lines.append("name,value,tolerance,passed")
-        for v in report.verdicts:
+        for v in doc["verdicts"]:
             lines.append(
                 f"{v['name']},{_cell(v['value'])},{_cell(v['tolerance'])},{_cell(v['passed'])}"
             )
-        for name in sorted(report.tables):
-            table = report.tables[name]
+        tables = doc["tables"]
+        for name in sorted(tables):
+            table = tables[name]
             lines.append(f"# table,{name}")
             lines.append(",".join(table["columns"]))
             for row in table["rows"]:
@@ -669,14 +707,13 @@ def _run_gp(cfg: RunConfig) -> Report:
     kernel = make_kernel(cfg)
     section = build_section(kernel, make_points(cfg, kernel))
     ensemble = build_ensemble(section, cfg.seed)
-    batch = sample(ensemble, cfg.samples)
-    cov = empirical_covariance(batch)
+    cov = empirical_covariance(ensemble, cfg.samples)
     defect = covariance_gap(cov, section.gram)
     report = Report(command=cfg.command, config=_echo(cfg))
     report.scalars = {
         "covariance_defect": defect,
         "factor_residual": ensemble.factor_residual,
-        "sample_count": batch.count,
+        "sample_count": cfg.samples,
     }
     report.tables["entry_errors"] = _entry_table(np.abs(cov - section.gram), "abs_error")
     report.add_verdict("covariance", defect, cfg.tol, defect < cfg.tol)
@@ -698,11 +735,12 @@ def _run_shannon(cfg: RunConfig) -> Report:
     exact = np.sinc(grid - cfg.shift)
     errors = np.abs(reconstructed - exact)
     worst = float(np.max(errors))
-    integer_mask = grid == np.rint(grid)
+    # the series returns the stored sample exactly at integers of the support
+    stored_mask = (grid == np.rint(grid)) & (np.abs(grid) <= cfg.support)
     integer_gap = 0.0
-    if np.any(integer_mask):
-        stored = np.asarray([samples[int(t)] for t in grid[integer_mask]])
-        integer_gap = float(np.max(np.abs(reconstructed[integer_mask] - stored)))
+    if np.any(stored_mask):
+        stored = np.asarray([samples[int(t)] for t in grid[stored_mask]])
+        integer_gap = float(np.max(np.abs(reconstructed[stored_mask] - stored)))
     report = Report(command=cfg.command, config=_echo(cfg))
     report.scalars = {"max_error": worst, "max_integer_gap": integer_gap}
     report.tables["grid_errors"] = {

@@ -254,6 +254,41 @@ def test_shannon_run(capsys):
     assert doc["scalars"]["max_integer_gap"] == 0.0
 
 
+def test_shannon_grid_beyond_support(capsys):
+    # the exact-at-integers check covers the integers that have a stored sample
+    assert main(["shannon", "--support", "1", "--grid=0:5:1"]) == EXIT_VERDICT_FAIL
+    doc = json.loads(capsys.readouterr().out)
+    verdicts = {v["name"]: v for v in doc["verdicts"]}
+    assert verdicts["exact-at-integers"]["passed"]
+    assert verdicts["exact-at-integers"]["value"] == 0.0
+    assert not verdicts["reconstruction"]["passed"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_nonfinite_report_value_exits_3(fmt, tmp_path):
+    # the band phase of sinc overflows at 1e308; a subprocess keeps the
+    # RuntimeWarning a warning, as it is outside the test suite
+    out = tmp_path / "report"
+    argv = ["factorize", "--kernel", "sinc", "--points", "1e308", "--format", fmt]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    for extra in ([], ["--out", str(out)]):
+        done = subprocess.run([sys.executable, "-m", "rkboundary", *argv, *extra], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == EXIT_NUMERICAL
+        assert done.stdout == ""
+        errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+        assert errors == ["error: report value scalars.membership_defect is not finite"]
+    assert not out.exists()
+
+
+def test_emit_names_the_nonfinite_field():
+    report = run(parse_config(["shannon"]))
+    report.tables["grid_errors"]["rows"][3][1] = float("inf")
+    for fmt in ("json", "csv"):
+        with pytest.raises(ValueError, match=r"tables\.grid_errors\.rows\[3\]\[1\] is not"):
+            emit(report, fmt)
+
+
 def test_cantor_onb_run(capsys):
     code = main(["cantor-onb", "--level", "4", "--parseval-max", "8"])
     captured = capsys.readouterr()

@@ -1,5 +1,8 @@
 """Gaussian ensembles: factorization, determinism, statistics."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from rkboundary import (
     BargmannKernel,
     Cantor4Kernel,
     ExplicitGramKernel,
+    GaussianEnsemble,
     NotPositiveSemidefiniteError,
     SincKernel,
     SzegoKernel,
@@ -18,6 +22,8 @@ from rkboundary import (
     empirical_covariance,
     sample,
 )
+from rkboundary.cli import main
+from rkboundary.gaussian import SAMPLE_BLOCK
 
 
 def zoo_sections():
@@ -68,6 +74,32 @@ def test_indefinite_gram_rejected():
 
 # -- sampling ---------------------------------------------------------------
 
+def one_shot_draws(ensemble, count):
+    """z of a whole (count, n) batch, drawn in one request from a fresh stream."""
+    rng = np.random.default_rng(ensemble.seed)
+    n = ensemble.section.size
+    if ensemble.complex_valued:
+        z = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+        z /= np.sqrt(2.0)
+        return z
+    return rng.standard_normal((count, n))
+
+
+COMPLEX_AND_REAL = pytest.mark.parametrize("kernel, points", [
+    (SzegoKernel(), spiral_points(7, 0.2, 0.85)),
+    (SincKernel(), [-2.0, -0.5, 0.0, 1.0, 2.5]),
+], ids=["complex", "real"])
+
+
+@COMPLEX_AND_REAL
+@pytest.mark.parametrize("count", [2, 100, SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK + 37])
+def test_sample_matches_one_shot_draws(kernel, points, count):
+    ensemble = build_ensemble(build_section(kernel, points), 17)
+    batch = sample(ensemble, count)
+    assert batch.samples.shape == (count, len(points))
+    assert np.array_equal(batch.samples, one_shot_draws(ensemble, count) @ ensemble.factor.T)
+
+
 def test_sample_determinism():
     section = build_section(SzegoKernel(), spiral_points(4, 0.2, 0.8))
     ensemble = build_ensemble(section, 123)
@@ -109,31 +141,64 @@ def test_empirical_mean_bound():
 # -- empirical covariance ----------------------------------------------------
 
 def test_covariance_of_repeated_vector():
-    from rkboundary import SampleBatch
-
+    # a factor whose only column is v makes every sample a multiple z_k v of
+    # v, so the covariance is mean |z_k|^2 times v v*
     v = np.array([1.0 + 1j, -2.0])
-    batch = SampleBatch(samples=np.tile(v, (5, 1)), seed=0, complex_valued=True)
-    cov = empirical_covariance(batch)
-    assert np.max(np.abs(cov - np.outer(v, np.conj(v)))) < 1e-15
+    gram = np.outer(v, np.conj(v))
+    section = build_section(ExplicitGramKernel(gram), [0, 1])
+    factor = np.column_stack([v, np.zeros(2)])
+    ensemble = GaussianEnsemble(section=section, factor=factor, seed=0,
+                                complex_valued=True, factor_residual=0.0)
+    count = 5
+    z = one_shot_draws(ensemble, count)[:, 0]
+    cov = empirical_covariance(ensemble, count)
+    assert np.max(np.abs(cov - np.mean(np.abs(z) ** 2) * gram)) < 1e-15
 
 
 def test_covariance_hermitian_exactly():
     section = build_section(SzegoKernel(), spiral_points(4, 0.2, 0.8))
-    cov = empirical_covariance(sample(build_ensemble(section, 9), 500))
+    cov = empirical_covariance(build_ensemble(section, 9), 500)
     assert np.max(np.abs(cov - cov.conj().T)) == 0.0
 
 
 def test_covariance_identity_gram_rate():
     section = build_section(ExplicitGramKernel(np.eye(4)), [0, 1, 2, 3])
     n = 40_000
-    cov = empirical_covariance(sample(build_ensemble(section, 21), n))
+    cov = empirical_covariance(build_ensemble(section, 21), n)
     assert np.max(np.abs(cov - np.eye(4))) < 5.0 / np.sqrt(n)
 
 
 def test_covariance_needs_two_samples():
     section = build_section(SzegoKernel(), [0.1])
     with pytest.raises(ValueError):
-        empirical_covariance(sample(build_ensemble(section, 1), 1))
+        empirical_covariance(build_ensemble(section, 1), 1)
+
+
+@COMPLEX_AND_REAL
+@pytest.mark.parametrize("count", [3 * SAMPLE_BLOCK + 5, SAMPLE_BLOCK + 1])
+def test_streamed_covariance_matches_whole_batch(kernel, points, count):
+    ensemble = build_ensemble(build_section(kernel, points), 8)
+    s = sample(ensemble, count).samples
+    whole = s.T @ np.conj(s) / count
+    streamed = empirical_covariance(ensemble, count)
+    assert np.max(np.abs(streamed - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+
+@pytest.mark.parametrize("kernel, points, bytes_per_value, fraction", [
+    (SzegoKernel(), spiral_points(60, 0.2, 0.9), 16, 1.0),
+    (SincKernel(), 0.37 * np.arange(60) - 11.0, 8, 0.25),
+])
+def test_covariance_never_holds_the_batch(kernel, points, bytes_per_value, fraction):
+    # one batch of 100k samples over 60 points is 91.6 MiB complex, 45.8 MiB real
+    ensemble = build_ensemble(build_section(kernel, points), 2)
+    count = 100_000
+    tracemalloc.start()
+    try:
+        empirical_covariance(ensemble, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < fraction * count * len(points) * bytes_per_value
 
 
 # -- covariance defect -------------------------------------------------------
@@ -165,3 +230,11 @@ def test_marginal_subblocks_match_subgrams():
         product = ensemble.factor @ ensemble.factor.conj().T
         for m in (1, 2, 3, 5):
             assert np.max(np.abs(product[:m, :m] - section.gram[:m, :m])) < 1e-12
+
+
+def test_gp_on_empty_section(capsys):
+    assert main(["gp", "--points", "grid0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["scalars"]["covariance_defect"] == 0.0
+    assert doc["scalars"]["sample_count"] == 100_000
+    assert doc["tables"]["entry_errors"]["rows"] == []

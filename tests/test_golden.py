@@ -2,9 +2,13 @@
 
 The files under ``tests/golden/`` are the contract for refactors that promise
 identical output.  Regenerate them only for an intended change of report
-bytes, with ``PYTHONPATH=src python tests/test_golden.py``.
+bytes, with ``PYTHONPATH=src python tests/test_golden.py``.  Before it
+overwrites a golden whose bytes changed, it prints whether every verdict kept
+its name and ``passed`` flag, and the largest absolute change in any number.
 """
 
+import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +73,68 @@ def test_pencil_values_agree_with_lapack_solver(command):
     assert estimate == pytest.approx(LAPACK_EIGENVALUES[-1], rel=1e-10, abs=0)
 
 
+# A numeric token that is not part of a word such as ``grid30`` or ``0.1.0``.
+NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?![\w.])")
+
+
+def report_verdicts(text: str) -> list:
+    """(name, passed) of every verdict of a JSON or CSV report, in order."""
+    if text.startswith("{"):
+        return [(v["name"], v["passed"]) for v in json.loads(text)["verdicts"]]
+    lines = text.splitlines()
+    start = lines.index("# verdicts") + 2  # skip the section and column headers
+    rows = []
+    for line in lines[start:]:
+        if line.startswith("# "):
+            break
+        name, _, _, passed = line.split(",")
+        rows.append((name, passed == "true"))
+    return rows
+
+
+def describe_change(old: str, new: str) -> str:
+    """One line on what a regenerated report changed: verdicts and numbers."""
+    verdicts = "unchanged" if report_verdicts(old) == report_verdicts(new) else "CHANGED"
+    a = [float(t) for t in NUMBER.findall(old)]
+    b = [float(t) for t in NUMBER.findall(new)]
+    if len(a) != len(b):
+        values = f"number of values changed from {len(a)} to {len(b)}"
+    else:
+        values = f"largest absolute change {max(abs(x - y) for x, y in zip(a, b)):.3e}"
+    return f"verdict names and flags {verdicts}; {values}"
+
+
+def test_describe_change_reports_values_and_verdicts():
+    old = render(CASES["gp.json"])
+    doc = json.loads(old)
+    doc["scalars"]["covariance_defect"] += 2.5e-15
+    doc["tables"]["entry_errors"]["rows"][0][2] -= 1e-3
+    new = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert describe_change(old, new) == (
+        "verdict names and flags unchanged; largest absolute change 1.000e-03")
+    doc["verdicts"][0]["passed"] = False
+    flipped = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert describe_change(old, flipped).startswith("verdict names and flags CHANGED")
+    csv = render(CASES["factorize.csv"])
+    assert report_verdicts(csv) == [("membership", True)]
+    count = len(NUMBER.findall(csv))
+    assert describe_change(csv, csv + "# table,extra\nx\n7\n").endswith(
+        f"number of values changed from {count} to {count + 1}")
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
+    unchanged = 0
     for name, argv in CASES.items():
-        (GOLDEN_DIR / name).write_bytes(render(argv).encode("utf-8"))
+        path = GOLDEN_DIR / name
+        text = render(argv)
+        if path.exists():
+            old = path.read_text(encoding="utf-8")
+            if old == text:
+                unchanged += 1
+                continue
+            print(f"{name}: {describe_change(old, text)}")
+        else:
+            print(f"{name}: new")
+        path.write_bytes(text.encode("utf-8"))
+    print(f"{unchanged} of {len(CASES)} goldens unchanged")

@@ -1,5 +1,6 @@
 """Kernel zoo, sections, and element arithmetic."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -45,6 +46,45 @@ def test_bargmann_diagonal_is_one(rng):
     k = BargmannKernel()
     for z in plane_points(rng, 10):
         assert k(z, z) == pytest.approx(1.0, abs=1e-15)
+
+
+EPS = np.finfo(float).eps
+
+
+def mp_complex(z):
+    return mpmath.mpc(float(np.real(z)), float(np.imag(z)))
+
+
+def oracle_points(rng, radius, extremes):
+    """Random points of modulus up to ``radius``, plus fixed extreme ones."""
+    r = radius * np.sqrt(rng.uniform(size=16))
+    return np.concatenate([r * np.exp(2j * np.pi * rng.uniform(size=16)), extremes])
+
+
+def test_szego_matches_30_digit_values(rng):
+    z = oracle_points(rng, 0.999, [0.999, -0.999, 0.999j, 0.999 * np.exp(0.4j), 0.9989])
+    values = SzegoKernel()(z[:, None], z[None, :])
+    with mpmath.workdps(30):
+        for i, a in enumerate(z):
+            for j, b in enumerate(z):
+                exact = complex(1 / (1 - mpmath.conj(mp_complex(a)) * mp_complex(b)))
+                # rounding of 1 - conj(a) b, relative to what cancellation leaves
+                cond = (1 + abs(a * b)) / abs(1 - np.conj(a) * b)
+                assert abs(values[i, j] - exact) <= 4 * EPS * cond * abs(exact), (a, b)
+
+
+def test_bargmann_matches_30_digit_values(rng):
+    z = oracle_points(rng, 6.0, [6.0, -6.0, 6.0j, 6.0 * np.exp(2.0j), 5.99])
+    values = BargmannKernel()(z[:, None], z[None, :])
+    with mpmath.workdps(30):
+        for i, a in enumerate(z):
+            for j, b in enumerate(z):
+                za, zb = mp_complex(a), mp_complex(b)
+                exact = complex(mpmath.exp(
+                    mpmath.conj(za) * zb / 2 - (abs(za) ** 2 + abs(zb) ** 2) / 4))
+                # the exponent is exact up to rounding of size eps |a|^2 + eps |b|^2
+                bound = 4 * EPS * (1 + abs(a) ** 2 + abs(b) ** 2) * abs(exact)
+                assert abs(values[i, j] - exact) <= bound, (a, b)
 
 
 def test_cantor_zero_point_gives_one():

@@ -1,5 +1,7 @@
 """Quadrature measures, the Cantor transform, and pushforwards."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -44,6 +46,20 @@ def test_gauss_hermite_moments():
     assert integrate(mu, lambda z: z.real ** 2) == pytest.approx(1.0, abs=1e-13)
     assert integrate(mu, lambda z: z.real ** 4) == pytest.approx(3.0, abs=1e-12)
     assert abs(integrate(mu, lambda z: z.real ** 3)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 20, 64])
+def test_gauss_hermite_plane_axis_moments_exact(n):
+    # E[x^2a y^2b] = (2a-1)!! (2b-1)!! for the standard Gaussian on each axis,
+    # integrated exactly for all 2a, 2b < 2n
+    mu = gauss_hermite_plane(n)
+    powers = 2 * np.arange(n)
+    x = mu.nodes.real[None, :] ** powers[:, None]
+    y = mu.nodes.imag[None, :] ** powers[:, None]
+    moments = (x * mu.weights) @ y.T
+    odd_double_factorial = np.array([float(math.prod(range(p - 1, 0, -2))) for p in powers])
+    exact = np.outer(odd_double_factorial, odd_double_factorial)
+    assert np.max(np.abs(moments - exact) / exact) < 1e-13
 
 
 def test_integrate_linear_and_conjugation_compatible(rng):
