@@ -197,8 +197,7 @@ def emit(report: Report, fmt: str = "json") -> str:
 def _serialize(doc: dict, fmt: str) -> str:
     """JSON or CSV text of a report document; a non-finite number raises ValueError."""
     if fmt == "json":
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False,
-                          default=_json_default) + "\n"
+        return _json_text(doc)
     if fmt == "csv":
         lines = [f"# report,{doc['command']},{doc['version']}"]
         lines.append("# scalars")
@@ -223,6 +222,39 @@ def _serialize(doc: dict, fmt: str) -> str:
     raise UsageError(f"unknown report format {fmt!r}")
 
 
+def _json_text(doc: dict) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)`` and a newline.
+
+    The indenting encoder runs in Python, so it dumps the report with each
+    table's rows replaced by a placeholder; the rows, nearly all of the bytes,
+    are rendered by the C encoder and spliced in at the placeholder's place.
+    """
+    tables = doc["tables"]
+    shell = {**doc, "tables": {name: {**table, "rows": f"\0rows of {name}"}
+                               for name, table in tables.items()}}
+    text = json.dumps(shell, sort_keys=True, indent=2, allow_nan=False, default=_json_default)
+    for name, table in tables.items():
+        # the tables follow the config, which may echo any string, so the
+        # rightmost match is the placeholder
+        head, _, tail = text.rpartition(json.dumps(f"\0rows of {name}"))
+        text = head + _json_rows(table["rows"]) + tail
+    return text + "\n"
+
+
+def _json_rows(rows: list) -> str:
+    """A table's rows as the indenting encoder prints them at their depth.
+
+    Rows hold numbers only, so every ", " of the compact form separates two
+    cells and every "], [" two rows.
+    """
+    if not rows:
+        return "[]"
+    flat = _ROW_ENCODER.encode(rows)  # [[a, b], [c, d]]
+    cells = flat[2:-2].replace("], [", "\n        ],\n        [\n          ")
+    cells = cells.replace(", ", ",\n          ")
+    return "[\n        [\n          " + cells + "\n        ]\n      ]"
+
+
 def _json_default(value):
     if isinstance(value, (np.integer,)):
         return int(value)
@@ -231,6 +263,9 @@ def _json_default(value):
     if isinstance(value, (np.bool_,)):
         return bool(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+_ROW_ENCODER = json.JSONEncoder(allow_nan=False, default=_json_default)
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +601,8 @@ def _spectrum_table(eigenvalues) -> dict:
 def _entry_table(matrix: np.ndarray, column: str) -> dict:
     return {
         "columns": ["i", "j", column],
-        "rows": [[i, j, float(matrix[i, j])]
-                 for i in range(matrix.shape[0]) for j in range(matrix.shape[1])],
+        "rows": [[i, j, value]
+                 for i, row in enumerate(matrix.tolist()) for j, value in enumerate(row)],
     }
 
 

@@ -51,10 +51,14 @@ __all__ = [
     "dist_k",
     "DEFAULT_PSD_TOL",
     "DUPLICATE_DIST_TOL",
+    "BARGMANN_MAX_MODULUS",
 ]
 
 DEFAULT_PSD_TOL = 1e-10
 DUPLICATE_DIST_TOL = 1e-12
+# Above about 1.3e154 the terms |z|^2 / 4 of the Bargmann exponent overflow
+# and their difference is inf - inf = NaN, although K(z, z) = 1.
+BARGMANN_MAX_MODULUS = 1e150
 
 
 class DomainError(ValueError):
@@ -159,6 +163,8 @@ class BargmannKernel(Kernel):
         z = np.asarray(points, dtype=complex)
         if not np.all(np.isfinite(z)):
             raise DomainError("points must be finite")
+        if np.any(np.abs(z) > BARGMANN_MAX_MODULUS):
+            raise DomainError("bargmann points require |z| <= 1e150")
         return z
 
     def _eval(self, s, t):

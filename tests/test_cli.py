@@ -289,6 +289,13 @@ def test_emit_names_the_nonfinite_field():
             emit(report, fmt)
 
 
+def test_emit_names_a_nan_in_a_row():
+    report = run(parse_config(["factorize"]))
+    report.tables["factorization_deviation"]["rows"][5][2] = float("nan")
+    with pytest.raises(ValueError, match=r"tables\.factorization_deviation\.rows\[5\]\[2\] is"):
+        emit(report, "json")
+
+
 def test_cantor_onb_run(capsys):
     code = main(["cantor-onb", "--level", "4", "--parseval-max", "8"])
     captured = capsys.readouterr()
@@ -336,6 +343,16 @@ def test_pd_check_run(capsys):
     assert code == EXIT_PASS
     doc = json.loads(captured.out)
     assert len(doc["tables"]["eigenvalues"]["rows"]) == 4
+
+
+@pytest.mark.parametrize("command", ["factorize", "carleson", "pd-check"])
+def test_bargmann_point_beyond_bound_is_a_domain_error(command, capsys):
+    # past |z| = 1.3e154 the Gram would hold inf - inf = NaN
+    code = main([command, "--kernel", "bargmann", "--points", "1e200"])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL
+    assert captured.out == ""
+    assert captured.err == "error: bargmann points require |z| <= 1e150\n"
 
 
 # -- one evaluation per run ---------------------------------------------------

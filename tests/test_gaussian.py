@@ -1,7 +1,11 @@
 """Gaussian ensembles: factorization, determinism, statistics."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,7 +179,7 @@ def test_covariance_needs_two_samples():
 
 
 @COMPLEX_AND_REAL
-@pytest.mark.parametrize("count", [3 * SAMPLE_BLOCK + 5, SAMPLE_BLOCK + 1])
+@pytest.mark.parametrize("count", [2, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 3 * SAMPLE_BLOCK + 5])
 def test_streamed_covariance_matches_whole_batch(kernel, points, count):
     ensemble = build_ensemble(build_section(kernel, points), 8)
     s = sample(ensemble, count).samples
@@ -184,12 +188,13 @@ def test_streamed_covariance_matches_whole_batch(kernel, points, count):
     assert np.max(np.abs(streamed - whole)) <= 1e-13 * np.max(np.abs(whole))
 
 
-@pytest.mark.parametrize("kernel, points, bytes_per_value, fraction", [
-    (SzegoKernel(), spiral_points(60, 0.2, 0.9), 16, 1.0),
-    (SincKernel(), 0.37 * np.arange(60) - 11.0, 8, 0.25),
-])
-def test_covariance_never_holds_the_batch(kernel, points, bytes_per_value, fraction):
-    # one batch of 100k samples over 60 points is 91.6 MiB complex, 45.8 MiB real
+@pytest.mark.parametrize("kernel, points", [
+    (SzegoKernel(), spiral_points(60, 0.2, 0.9)),
+    (SincKernel(), 0.37 * np.arange(60) - 11.0),
+], ids=["complex", "real"])
+def test_covariance_never_holds_the_batch(kernel, points):
+    # the real parts of 100k draws over 60 points alone take 45.8 MiB; the
+    # covariance may hold a quarter of that, complex or real
     ensemble = build_ensemble(build_section(kernel, points), 2)
     count = 100_000
     tracemalloc.start()
@@ -198,7 +203,28 @@ def test_covariance_never_holds_the_batch(kernel, points, bytes_per_value, fract
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < fraction * count * len(points) * bytes_per_value
+    assert peak < 0.25 * count * len(points) * 8
+
+
+# A process's max-RSS counts the memory of the process it was forked from up
+# to its exec, so the run starts from a bare interpreter, not from the test
+# process, and that interpreter reports the run's exit code and rusage.
+LAUNCH = ("import os, sys; pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ); "
+          "_, status, usage = os.wait4(pid, 0); "
+          "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
+
+def test_complex_gp_process_peak(tmp_path):
+    # the whole process, interpreter and numpy included, of a 60-point complex
+    # gp at 100k samples; holding the real parts of the draws took about 100 MB
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    argv = [sys.executable, "-m", "rkboundary", "gp", "--kernel", "bargmann",
+            "--points", "grid60", "--samples", "100000", "--out", str(tmp_path / "gp.json")]
+    done = subprocess.run([sys.executable, "-c", LAUNCH, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, max_rss_kb = (int(x) for x in done.stdout.split())
+    assert code == 0
+    assert max_rss_kb < 70_000  # ru_maxrss is in kilobytes on Linux
 
 
 # -- covariance defect -------------------------------------------------------

@@ -5,16 +5,20 @@ identical output.  Regenerate them only for an intended change of report
 bytes, with ``PYTHONPATH=src python tests/test_golden.py``.  Before it
 overwrites a golden whose bytes changed, it prints whether every verdict kept
 its name and ``passed`` flag, and the largest absolute change in any number.
+With ``--check`` it prints the same lines, writes nothing, and exits 1 if any
+golden would change.
 """
 
+import argparse
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rkboundary.cli import emit, parse_config, run
+from rkboundary.cli import _json_default, emit, parse_config, run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -48,10 +52,44 @@ def render(argv) -> str:
     return emit(run(cfg), cfg.fmt)
 
 
+def stdlib_json(report) -> str:
+    """The report as the standard library's indenting encoder prints it."""
+    doc = {
+        "command": report.command,
+        "config": report.config,
+        "scalars": report.scalars,
+        "tables": report.tables,
+        "verdicts": report.verdicts,
+        "version": report.version,
+    }
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False,
+                      default=_json_default) + "\n"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name):
     expected = (GOLDEN_DIR / name).read_bytes()
-    assert render(CASES[name]).encode("utf-8") == expected
+    cfg = parse_config(CASES[name])
+    report = run(cfg)
+    assert emit(report, cfg.fmt).encode("utf-8") == expected
+    assert emit(report, "json") == stdlib_json(report)
+
+
+@pytest.mark.parametrize("argv", [
+    ["factorize", "--points", "grid200"],
+    ["factorize", "--points", "grid0"],
+    ["gp", "--points", "grid0"],
+], ids=["grid200", "grid0", "gp-grid0"])
+def test_json_rows_match_stdlib(argv):
+    report = run(parse_config(argv))
+    assert emit(report, "json") == stdlib_json(report)
+
+
+def test_json_one_row_tables_match_stdlib():
+    report = run(parse_config(["shannon"]))
+    report.tables["grid_errors"]["rows"] = report.tables["grid_errors"]["rows"][:1]
+    report.tables["single"] = {"columns": ["x"], "rows": [[-0.0]]}
+    assert emit(report, "json") == stdlib_json(report)
 
 
 # The default szego carleson pencil as LAPACK's generalized Hermitian solver
@@ -122,12 +160,35 @@ def test_describe_change_reports_values_and_verdicts():
         f"number of values changed from {count} to {count + 1}")
 
 
-if __name__ == "__main__":
+def test_check_mode_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(sys.modules[__name__], "CASES", {"pd-check.json": ["pd-check"]})
+    golden = tmp_path / "pd-check.json"
+    golden.write_text(render(["pd-check"]), encoding="utf-8")
+    assert main(["--check"]) == 0
+    assert capsys.readouterr().out == "1 of 1 goldens unchanged\n"
+    stale = golden.read_text(encoding="utf-8").replace('"passed": true', '"passed": false')
+    golden.write_text(stale, encoding="utf-8")
+    assert main(["--check"]) == 1
+    assert capsys.readouterr().out == (
+        "pd-check.json: verdict names and flags CHANGED; largest absolute change 0.000e+00\n"
+        "0 of 1 goldens unchanged\n")
+    assert golden.read_text(encoding="utf-8") == stale
+    assert main([]) == 0
+    assert golden.read_text(encoding="utf-8") == render(["pd-check"])
+    assert main(["--check"]) == 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate the golden reports.")
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; exit 1 if any golden would change")
+    check = parser.parse_args(argv).check
     GOLDEN_DIR.mkdir(exist_ok=True)
     unchanged = 0
-    for name, argv in CASES.items():
+    for name, case in CASES.items():
         path = GOLDEN_DIR / name
-        text = render(argv)
+        text = render(case)
         if path.exists():
             old = path.read_text(encoding="utf-8")
             if old == text:
@@ -136,5 +197,11 @@ if __name__ == "__main__":
             print(f"{name}: {describe_change(old, text)}")
         else:
             print(f"{name}: new")
-        path.write_bytes(text.encode("utf-8"))
+        if not check:
+            path.write_bytes(text.encode("utf-8"))
     print(f"{unchanged} of {len(CASES)} goldens unchanged")
+    return int(check and unchanged < len(CASES))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -48,6 +48,15 @@ def test_bargmann_diagonal_is_one(rng):
         assert k(z, z) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_bargmann_modulus_bound():
+    k = BargmannKernel()
+    edge = np.array([1e150, -1e150j])
+    assert np.array_equal(k(edge, edge), np.ones(2))
+    for z in (1.0000000000000002e150, 1e200j, 1e300):
+        with pytest.raises(DomainError, match=r"\|z\| <= 1e150"):
+            k.validate_points([0.0, z])
+
+
 EPS = np.finfo(float).eps
 
 
