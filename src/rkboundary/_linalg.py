@@ -16,6 +16,8 @@ __all__ = [
 # is zero; one below -NEGATIVE_TOL of that scale is a negative direction
 PRUNE_TOL = 1e-12
 NEGATIVE_TOL = 1e-10
+# row_blocks: the complex evaluation of one block of rows stays within this
+BLOCK_BYTES = 2 * 1024 * 1024
 
 
 class NotHermitianError(ValueError):
@@ -44,6 +46,25 @@ def require_hermitian(matrix, rel_tol: float = 1e-12, what: str = "matrix") -> n
     if gap > rel_tol * max(scale, 1.0):
         raise NotHermitianError(f"{what} is not Hermitian (gap {gap:.3e})")
     return 0.5 * (a + a.conj().T)
+
+
+def row_blocks(rows: int, width: int):
+    """Slices of ``range(rows)`` whose complex ``(block, width)`` evaluation
+    fits in ``BLOCK_BYTES``, or holds three rows where fewer fit.
+
+    A block never has one row unless ``rows`` is one: numpy reduces a
+    one-row matrix against a vector by another BLAS path, which rounds
+    differently, while every block of two or more rows reproduces the rows
+    of the one-shot product bit for bit.
+    """
+    step = max(3, BLOCK_BYTES // max(16 * width, 1))
+    start = 0
+    while start < rows:
+        stop = min(start + step, rows)
+        if rows - stop == 1:
+            stop -= 1
+        yield slice(start, stop)
+        start = stop
 
 
 def pivoted_cholesky(matrix):

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._linalg import NotPositiveSemidefiniteError, pivoted_cholesky
+from ._linalg import NotPositiveSemidefiniteError, pivoted_cholesky, row_blocks
 from .kernels import (
     BoundaryExtension,
     Cantor4Kernel,
@@ -214,14 +214,18 @@ def adjoint_apply(boundary_values, ext: BoundaryExtension, measure: QuadMeasure,
     """Adjoint of the boundary transform: s -> integral conj(K^B(s, b)) F(b) dmu(b).
 
     ``boundary_values`` is a callable on the quadrature nodes or an array of
-    samples aligned with them; ``s`` may be a scalar point or an array.
+    samples aligned with them; ``s`` may be a scalar point or an array.  The
+    extension is evaluated and reduced one block of points at a time.
     """
     if measure.nodes is None:
         raise ValueError("adjoint evaluation needs a node-based measure")
     fv = _node_samples(boundary_values, measure)
     arr = np.asarray(s)
-    cols = ext(np.atleast_1d(arr)[:, None], measure.nodes[None, :])
-    out = (np.conj(cols) * measure.weights) @ fv
+    pts = np.atleast_1d(arr)
+    out = np.empty(pts.shape, dtype=complex)
+    for rows in row_blocks(pts.shape[0], measure.nodes.shape[0]):
+        cols = ext(pts[rows, None], measure.nodes[None, :])
+        out[rows] = (np.conj(cols) * measure.weights) @ fv
     return complex(out[0]) if arr.ndim == 0 else out
 
 

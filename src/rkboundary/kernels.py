@@ -52,13 +52,17 @@ __all__ = [
     "DEFAULT_PSD_TOL",
     "DUPLICATE_DIST_TOL",
     "BARGMANN_MAX_MODULUS",
+    "SINC_BAND_MAX_POINT",
 ]
 
 DEFAULT_PSD_TOL = 1e-10
 DUPLICATE_DIST_TOL = 1e-12
-# Above about 1.3e154 the terms |z|^2 / 4 of the Bargmann exponent overflow
-# and their difference is inf - inf = NaN, although K(z, z) = 1.
+# Above about 1.3e154 the products of coordinates in the Bargmann exponent
+# overflow, and inf - inf = NaN, although K(z, z) = 1.
 BARGMANN_MAX_MODULUS = 1e150
+# The band phase pi s xi, |xi| <= 1/2, has a unit in its last place near 0.25
+# at |s| = 1e15 and near 2 at 1e16: past the bound it carries no digits.
+SINC_BAND_MAX_POINT = 1e15
 
 
 class DomainError(ValueError):
@@ -168,7 +172,11 @@ class BargmannKernel(Kernel):
         return z
 
     def _eval(self, s, t):
-        return np.exp(0.5 * np.conj(s) * t - 0.25 * (np.abs(s) ** 2 + np.abs(t) ** 2))
+        # the same exponent as -|s - t|^2 / 4 + (i/2) Im(conj(s) t), which
+        # cancels no terms of size |z|^2, so K(z, z) = 1 exactly
+        d = s - t
+        im_st = s.real * t.imag - s.imag * t.real
+        return np.exp(-0.25 * (d.real ** 2 + d.imag ** 2) + 0.5j * im_st)
 
     def boundary_extension(self):
         return BargmannPlaneExtension(self)
@@ -307,7 +315,10 @@ class BoundaryExtension:
         self.kernel = kernel
 
     def __call__(self, s, b):
-        return self._eval(self.kernel.validate_points(s), self.validate_boundary(b))
+        return self._eval(self.validate_points(s), self.validate_boundary(b))
+
+    def validate_points(self, s):
+        return self.kernel.validate_points(s)
 
     def _eval(self, s, b):
         raise NotImplementedError
@@ -367,6 +378,12 @@ class SincBandExtension(BoundaryExtension):
         if np.any(np.abs(xi) > 0.5 + 1e-12):
             raise DomainError("band frequencies must satisfy |xi| <= 1/2")
         return xi
+
+    def validate_points(self, s):
+        pts = self.kernel.validate_points(s)
+        if np.any(np.abs(pts) > SINC_BAND_MAX_POINT):
+            raise DomainError("sinc band points require |s| <= 1e15")
+        return pts
 
     def _eval(self, s, b):
         return np.exp(-2j * np.pi * s * b)

@@ -7,6 +7,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ._linalg import row_blocks
 from .measures import cantor4_fourier, cantor_ifs
 
 __all__ = [
@@ -97,7 +98,8 @@ def shannon_reconstruct(samples: Mapping[int, complex], t):
     ``samples`` maps integers to sample values.  At integers inside the
     support the stored sample is returned exactly (sinc is 1 at zero and
     vanishes at the other integers); elsewhere the truncation error is the
-    usual tail of the full bilateral series.
+    usual tail of the full bilateral series.  The series is summed one block
+    of evaluation points at a time.
     """
     tt = np.asarray(t, dtype=float)
     scalar = tt.ndim == 0
@@ -110,7 +112,9 @@ def shannon_reconstruct(samples: Mapping[int, complex], t):
         raise ValueError("sample support must consist of integers")
     ns = np.asarray(support, dtype=float)
     vals = np.asarray([samples[n] for n in support], dtype=complex)
-    out = np.sinc(pts[:, None] - ns[None, :]) @ vals
+    out = np.empty(pts.shape, dtype=complex)
+    for rows in row_blocks(pts.shape[0], ns.shape[0]):
+        out[rows] = np.sinc(pts[rows, None] - ns[None, :]) @ vals
     nearest = np.rint(pts)
     for idx in np.nonzero(pts == nearest)[0]:
         n = int(nearest[idx])

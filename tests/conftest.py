@@ -1,9 +1,39 @@
-"""Shared samplers and fixed point sets for the test suite."""
+"""Shared samplers, fixed point sets and process runners for the test suite."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rkboundary._linalg import row_blocks
+
 GOLDEN = 0.6180339887498949
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# spawns argv from a bare interpreter and prints its exit code and ru_maxrss:
+# a child's max-RSS counts the memory of the process it was forked from up to
+# its exec, so a run spawned from pytest would read pytest's own size
+LAUNCH = ("import os, sys; pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ); "
+          "_, status, usage = os.wait4(pid, 0); "
+          "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
+
+def block_rows(width):
+    """Row count of a full block of a ``(rows, width)`` evaluation."""
+    return next(row_blocks(10 ** 9, width)).stop
+
+
+def cli_process_peak(*argv):
+    """Exit code and peak resident memory in kilobytes (Linux ``ru_maxrss``)
+    of one ``python -m rkboundary`` process, interpreter and numpy included."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    command = [sys.executable, "-c", LAUNCH, sys.executable, "-m", "rkboundary", *argv]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+    code, max_rss_kb = (int(x) for x in done.stdout.split())
+    return code, max_rss_kb
 
 
 def spiral_points(n, rmin, rmax):

@@ -4,10 +4,18 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import disk_points, spiral_points
+from conftest import (
+    block_rows,
+    cli_process_peak,
+    disk_points,
+    line_points,
+    plane_points,
+    spiral_points,
+)
 
 import rkboundary.boundary
 from rkboundary import (
+    BargmannKernel,
     Cantor4Kernel,
     ExplicitFeatureKernel,
     FrameExtension,
@@ -27,6 +35,7 @@ from rkboundary import (
     commuting_diagram_defect,
     element,
     evaluate_element,
+    gauss_hermite_plane,
     h_norm_sq,
     isometry_defect,
     isometry_norms,
@@ -39,6 +48,7 @@ from rkboundary import (
     pushforward,
     scale_measure,
 )
+from rkboundary._linalg import BLOCK_BYTES, row_blocks
 
 
 def szego_setup(n=6, nodes=2048):
@@ -227,6 +237,55 @@ def test_adjoint_roundtrip_identity(rng):
     probes = disk_points(rng, 50)
     roundtrip = adjoint_apply(samples, ext, mu, probes)
     assert np.max(np.abs(roundtrip - evaluate_element(f, probes))) < 1e-9
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 400, 2048, 16384, 50_000, 10 ** 6])
+def test_row_blocks_tile_rows_without_single_rows(width):
+    full = block_rows(width)
+    # full blocks fill the budget, or hold the least block of three rows
+    assert 16 * width * full <= BLOCK_BYTES or full == 3
+    assert 16 * width * (full + 1) > BLOCK_BYTES or width == 0
+    for rows in sorted({1, 2, 3, 4, full - 1, full, full + 1, 2 * full + 1, 3 * full + 2}):
+        blocks = list(row_blocks(rows, width))
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+        assert blocks[-1].stop == rows
+        sizes = [b.stop - b.start for b in blocks]
+        assert max(sizes) <= full
+        assert min(sizes) >= min(rows, 2)
+    assert list(row_blocks(0, width)) == []
+
+
+ADJOINT_PAIRS = [
+    (Cantor4Kernel(level=6), cantor_ifs(14), disk_points),
+    (SzegoKernel(), periodic_uniform(2048), disk_points),
+    (BargmannKernel(), gauss_hermite_plane(64), plane_points),
+    (SincKernel(), band_gauss_legendre(400), line_points),
+]
+
+
+@pytest.mark.parametrize("kernel, mu, sampler", ADJOINT_PAIRS,
+                         ids=[k.name for k, _, _ in ADJOINT_PAIRS])
+def test_blocked_adjoint_matches_one_shot(kernel, mu, sampler, rng):
+    ext = kernel.boundary_extension()
+    width = mu.nodes.shape[0]
+    fv = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+    full = block_rows(width)
+    for count in (1, 2, full - 1, full, full + 1, 2 * full + 1):
+        probes = sampler(rng, count)
+        one_shot = (np.conj(ext(probes[:, None], mu.nodes[None, :])) * mu.weights) @ fv
+        assert np.array_equal(adjoint_apply(fv, ext, mu, probes), one_shot), count
+        if count == 1:
+            assert adjoint_apply(fv, ext, mu, probes[0]) == one_shot[0]
+
+
+def test_cantor_adjoint_process_peak(tmp_path):
+    # 50 probes against 16384 nodes held a 13 MB evaluation and its
+    # temporaries at once: the process peaked at about 102 MB
+    code, max_rss_kb = cli_process_peak(
+        "adjoint-roundtrip", "--kernel", "cantor4", "--measure", "cantor-ifs:14",
+        "--out", str(tmp_path / "adjoint.json"))
+    assert code == 0
+    assert max_rss_kb < 65_000
 
 
 # -- carleson constant ------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line driver: parsing, dispatch, report emission, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rkboundary.cli
 from rkboundary.cli import (
     EXIT_NUMERICAL,
     EXIT_PASS,
@@ -265,20 +267,36 @@ def test_shannon_grid_beyond_support(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_nonfinite_report_value_exits_3(fmt, tmp_path):
-    # the band phase of sinc overflows at 1e308; a subprocess keeps the
-    # RuntimeWarning a warning, as it is outside the test suite
+def test_nonfinite_report_value_exits_3(fmt, tmp_path, monkeypatch, capsys):
+    # no valid input is known to overflow, so the membership defect is made NaN
+    real = rkboundary.cli.membership_defect
+    monkeypatch.setattr(rkboundary.cli, "membership_defect",
+                        lambda *a, **k: dataclasses.replace(real(*a, **k), defect=float("nan")))
     out = tmp_path / "report"
-    argv = ["factorize", "--kernel", "sinc", "--points", "1e308", "--format", fmt]
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     for extra in ([], ["--out", str(out)]):
-        done = subprocess.run([sys.executable, "-m", "rkboundary", *argv, *extra], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == EXIT_NUMERICAL
-        assert done.stdout == ""
-        errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+        assert main(["factorize", "--format", fmt, *extra]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
         assert errors == ["error: report value scalars.membership_defect is not finite"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["factorize", "isometry", "carleson", "project",
+                                     "adjoint-roundtrip"])
+def test_sinc_point_beyond_band_bound_is_a_domain_error(command, capsys):
+    # past |s| = 1e15 the band phase pi s xi carries no digits, and at 1e308
+    # it overflowed with a RuntimeWarning
+    for point in ("1e308", "-1.0000000000000002e15"):
+        code = main([command, "--kernel", "sinc", f"--points={point}"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERICAL
+        assert captured.out == ""
+        assert captured.err == "error: sinc band points require |s| <= 1e15\n"
+    # the bound itself is in the domain: the run ends in a verdict
+    code = main([command, "--kernel", "sinc", "--points=1e15,-1e15"])
+    assert code in (EXIT_PASS, EXIT_VERDICT_FAIL)
+    assert main(["pd-check", "--kernel", "sinc", "--points", "1e308"]) == EXIT_PASS
 
 
 def test_emit_names_the_nonfinite_field():

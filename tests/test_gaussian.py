@@ -1,16 +1,12 @@
 """Gaussian ensembles: factorization, determinism, statistics."""
 
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import spiral_points
+from conftest import cli_process_peak, spiral_points
 
 from rkboundary import (
     BargmannKernel,
@@ -206,25 +202,13 @@ def test_covariance_never_holds_the_batch(kernel, points):
     assert peak < 0.25 * count * len(points) * 8
 
 
-# A process's max-RSS counts the memory of the process it was forked from up
-# to its exec, so the run starts from a bare interpreter, not from the test
-# process, and that interpreter reports the run's exit code and rusage.
-LAUNCH = ("import os, sys; pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ); "
-          "_, status, usage = os.wait4(pid, 0); "
-          "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
-
-
 def test_complex_gp_process_peak(tmp_path):
-    # the whole process, interpreter and numpy included, of a 60-point complex
-    # gp at 100k samples; holding the real parts of the draws took about 100 MB
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    argv = [sys.executable, "-m", "rkboundary", "gp", "--kernel", "bargmann",
-            "--points", "grid60", "--samples", "100000", "--out", str(tmp_path / "gp.json")]
-    done = subprocess.run([sys.executable, "-c", LAUNCH, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
-    code, max_rss_kb = (int(x) for x in done.stdout.split())
+    # a 60-point complex gp at 100k samples; holding the real parts of the
+    # draws took about 100 MB
+    code, max_rss_kb = cli_process_peak("gp", "--kernel", "bargmann", "--points", "grid60",
+                                        "--samples", "100000", "--out", str(tmp_path / "gp.json"))
     assert code == 0
-    assert max_rss_kb < 70_000  # ru_maxrss is in kilobytes on Linux
+    assert max_rss_kb < 70_000
 
 
 # -- covariance defect -------------------------------------------------------

@@ -60,6 +60,17 @@ def test_bargmann_modulus_bound():
 EPS = np.finfo(float).eps
 
 
+def test_bargmann_diagonal_is_one_at_large_modulus(rng):
+    # the exponent conj(z) w / 2 - (|z|^2 + |w|^2) / 4 cancelled terms of size
+    # |z|^2: K(z, z) - 1 reached 6.4 at |z| = 1e8 and overflowed at 1e10
+    k = BargmannKernel()
+    for r in (1.0, 1e4, 1e6, 1e8, 1e10):
+        z = r * np.exp(2j * np.pi * rng.uniform(size=1000))
+        assert np.max(np.abs(k(z, z) - 1.0)) <= 4 * EPS, r
+        w = z[::-1]
+        assert np.array_equal(k(z, w), np.conj(k(w, z))), r
+
+
 def mp_complex(z):
     return mpmath.mpc(float(np.real(z)), float(np.imag(z)))
 

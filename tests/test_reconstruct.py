@@ -11,6 +11,8 @@ from rkboundary import (
     parseval_table,
     shannon_reconstruct,
 )
+from conftest import block_rows, cli_process_peak
+
 from rkboundary.measures import cantor4_fourier
 from rkboundary.reconstruct import MAX_EXACT_LEVEL, lambda4_frequency_matrix
 
@@ -86,6 +88,28 @@ def test_shannon_truncated_error_bound():
 def test_shannon_rejects_non_integer_support():
     with pytest.raises(ValueError):
         shannon_reconstruct({0.5: 1.0}, 0.1)
+
+
+@pytest.mark.parametrize("support", [3, 30, 300, 1000, 3000])
+def test_blocked_shannon_matches_one_shot(support, rng):
+    ns = np.arange(-support, support + 1, dtype=float)
+    vals = rng.standard_normal(ns.shape) + 1j * rng.standard_normal(ns.shape)
+    samples = dict(zip(range(-support, support + 1), vals))
+    full = block_rows(ns.shape[0])
+    for count in (1, 2, full - 1, full, full + 1, 2 * full + 1):
+        # off the integers, so no stored sample replaces a series value
+        t = rng.uniform(-support - 2, support + 2, size=count)
+        assert not np.any(t == np.rint(t))
+        one_shot = np.sinc(t[:, None] - ns[None, :]) @ vals
+        assert np.array_equal(shannon_reconstruct(samples, t), one_shot), count
+
+
+def test_shannon_process_peak(tmp_path):
+    # the default 401-point grid against 2001 samples held its whole sinc
+    # matrix and temporaries at once: the process peaked at about 56 MB
+    code, max_rss_kb = cli_process_peak("shannon", "--out", str(tmp_path / "shannon.json"))
+    assert code == 0
+    assert max_rss_kb < 45_000
 
 
 # -- cantor coefficients -------------------------------------------------------
