@@ -17,7 +17,6 @@ measure, and the sinc kernel against its frequency band.
 from ._linalg import (
     NotHermitianError,
     NotPositiveSemidefiniteError,
-    hermitian_gap,
     pivoted_cholesky,
 )
 from .boundary import (
@@ -71,7 +70,6 @@ from .kernels import (
     dist_k,
     element,
     evaluate_element,
-    h_inner,
     h_norm_sq,
     pd_check,
 )
@@ -83,17 +81,13 @@ from .measures import (
     cantor_exact,
     cantor_ifs,
     gauss_hermite_plane,
-    integrate,
     periodic_uniform,
     pushforward,
     scale_measure,
 )
 from .reconstruct import (
-    cantor_coefficients,
-    in_lambda4,
     lambda4_frequency_matrix,
     lambda4_set,
-    parseval_defect,
     parseval_table,
     shannon_reconstruct,
 )
@@ -125,7 +119,6 @@ __all__ = [
     "build_section",
     "element",
     "pd_check",
-    "h_inner",
     "h_norm_sq",
     "evaluate_element",
     "dist_k",
@@ -138,7 +131,6 @@ __all__ = [
     "atomic",
     "cantor_exact",
     "scale_measure",
-    "integrate",
     "cantor4_fourier",
     "pushforward",
     # boundary machinery
@@ -169,14 +161,10 @@ __all__ = [
     # reconstruction
     "lambda4_set",
     "lambda4_frequency_matrix",
-    "in_lambda4",
     "shannon_reconstruct",
-    "cantor_coefficients",
-    "parseval_defect",
     "parseval_table",
     # shared linear algebra
     "NotHermitianError",
     "NotPositiveSemidefiniteError",
-    "hermitian_gap",
     "pivoted_cholesky",
 ]

@@ -7,7 +7,6 @@ import numpy as np
 __all__ = [
     "NotHermitianError",
     "NotPositiveSemidefiniteError",
-    "hermitian_gap",
     "require_hermitian",
     "pivoted_cholesky",
 ]

@@ -94,7 +94,6 @@ class MembershipReport:
 
     defect: float
     carleson_constant: float
-    tolerance: float
     passed: bool
     deviation: np.ndarray
     eigenvalues: np.ndarray
@@ -115,7 +114,7 @@ def boundary_gram(ext: BoundaryExtension, measure: QuadMeasure, section: Section
     """
     _check_pair(ext, section)
     frequencies = None
-    if measure.kind == "cantor-exact":
+    if measure.nodes is None:
         if not isinstance(ext.kernel, Cantor4Kernel):
             raise ValueError("the exact Cantor measure pairs only with the truncated Cantor kernel")
         lam, frequencies = lambda4_frequency_matrix(ext.kernel.level)
@@ -154,7 +153,6 @@ def membership_defect(
     return MembershipReport(
         defect=defect,
         carleson_constant=constant,
-        tolerance=float(tol),
         passed=bool(defect < tol),
         deviation=deviation,
         eigenvalues=eigenvalues,

@@ -54,6 +54,7 @@ from .measures import (
     gauss_hermite_plane,
     periodic_uniform,
     pushforward,
+    scale_measure,
 )
 from .reconstruct import (
     MAX_EXACT_LEVEL,
@@ -70,6 +71,10 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 _GOLDEN = 0.6180339887498949
+
+# --scale above this is a usage error: the boundary matrices of edge sections
+# stay finite at 1e200, and those of the default sections overflow at 1e308
+MAX_SCALE = 1e200
 
 # Settings that depend on the kernel resolve only when the run builds its
 # objects, so they stay out of the config echo.
@@ -289,6 +294,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _scale_factor(text: str) -> float:
+    value = _positive_float(text)
+    if value > MAX_SCALE:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_SCALE:g}, got {value:g}")
+    return value
+
+
 def _int_range(low: int, high: int | None = None):
     """Flag parser for an integer in low..high, or at least low when high is None."""
     bound = f"at least {low}" if high is None else f"in {low}..{high}"
@@ -327,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--measure", default=None,
                            help="kind[:param], e.g. uniform:2048, gauss-hermite:64, "
                                 "cantor-ifs:12, cantor-exact, band:160, atomic:FILE")
-            p.add_argument("--scale", type=_positive_float, default=1.0,
-                           help="scale factor applied to all weights (default %(default)s)")
+            p.add_argument("--scale", type=_scale_factor, default=1.0,
+                           help=f"factor on all weights, at most {MAX_SCALE:g} (default %(default)s)")
         if points:
             p.add_argument("--points", default=None,
                            help="gridN, a JSON file, or inline values 0.1,0.2+0.3j,...")
@@ -465,32 +477,35 @@ def make_kernel(cfg: RunConfig):
 _NODE_REQUIRED_COMMANDS = {"adjoint-roundtrip", "project"}
 
 def make_measure(cfg: RunConfig):
+    """The unit measure the descriptor names, scaled by ``--scale``."""
     desc = _kernel_setting(cfg, "measure")
     if cfg.measure is None and cfg.command in _NODE_REQUIRED_COMMANDS and desc == "cantor-exact":
         desc = "cantor-ifs:10"  # these commands sample boundary values at nodes
     kind, _, param = desc.partition(":")
     try:
         if kind == "uniform":
-            return periodic_uniform(int(param or 2048), scale=cfg.scale)
-        if kind == "gauss-hermite":
-            return gauss_hermite_plane(int(param or 64), scale=cfg.scale)
-        if kind == "cantor-ifs":
-            return cantor_ifs(int(param or 12), scale=cfg.scale)
-        if kind == "cantor-exact":
+            measure = periodic_uniform(int(param or 2048))
+        elif kind == "gauss-hermite":
+            measure = gauss_hermite_plane(int(param or 64))
+        elif kind == "cantor-ifs":
+            measure = cantor_ifs(int(param or 12))
+        elif kind == "cantor-exact":
             if cfg.kernel == "cantor4" and _kernel_setting(cfg, "level") > MAX_EXACT_LEVEL:
                 raise UsageError(f"--level must be at most {MAX_EXACT_LEVEL} on the exact "
                                  "Cantor measure; use cantor-ifs:DEPTH above it")
-            return cantor_exact(scale=cfg.scale)
-        if kind == "band":
-            return band_gauss_legendre(int(param or 160), scale=cfg.scale)
-        if kind == "atomic":
-            return _atomic_from_file(param, cfg.scale)
+            measure = cantor_exact()
+        elif kind == "band":
+            measure = band_gauss_legendre(int(param or 160))
+        elif kind == "atomic":
+            measure = _atomic_from_file(param)
+        else:
+            raise UsageError(f"unknown measure kind {kind!r}")
+        return scale_measure(measure, cfg.scale)
     except ValueError as exc:
         raise UsageError(f"bad measure descriptor {desc!r}: {exc}") from None
-    raise UsageError(f"unknown measure kind {kind!r}")
 
 
-def _atomic_from_file(path: str, scale: float):
+def _atomic_from_file(path: str):
     if not path:
         raise UsageError("atomic measures need a file: --measure atomic:FILE")
     try:
@@ -505,7 +520,7 @@ def _atomic_from_file(path: str, scale: float):
         weights = [float(w) for w in doc["weights"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"measure file needs 'nodes' and 'weights' lists: {exc}") from None
-    return atomic(np.asarray(nodes), weights, scale=scale)
+    return atomic(np.asarray(nodes), weights)
 
 
 def _scalar_from_json(entry):
@@ -624,7 +639,7 @@ def _run_pd_check(cfg: RunConfig) -> Report:
         "threshold": verdict.threshold,
         "points": int(points.shape[0]),
     }
-    report.tables["eigenvalues"] = _spectrum_table(np.linalg.eigvalsh(gram))
+    report.tables["eigenvalues"] = _spectrum_table(verdict.eigenvalues)
     report.add_verdict(
         "positive-semidefinite",
         verdict.min_eigenvalue,

@@ -45,7 +45,6 @@ __all__ = [
     "pd_check",
     "build_section",
     "element",
-    "h_inner",
     "h_norm_sq",
     "evaluate_element",
     "dist_k",
@@ -457,13 +456,14 @@ class Section:
         return int(self.points.shape[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PdVerdict:
-    """Outcome of a positive-semidefiniteness check."""
+    """Outcome of a positive-semidefiniteness check, with the ascending spectrum."""
 
     passed: bool
     min_eigenvalue: float
     threshold: float
+    eigenvalues: np.ndarray
 
 
 def pd_check(gram, tol: float = DEFAULT_PSD_TOL) -> PdVerdict:
@@ -474,11 +474,11 @@ def pd_check(gram, tol: float = DEFAULT_PSD_TOL) -> PdVerdict:
     """
     g = require_hermitian(gram, what="gram matrix")
     if g.size == 0:
-        return PdVerdict(True, 0.0, 0.0)
+        return PdVerdict(True, 0.0, 0.0, np.zeros(0))
     w = np.linalg.eigvalsh(g)
     scale = float(np.max(np.real(np.diag(g))))
     threshold = -tol * max(scale, 0.0)
-    return PdVerdict(bool(w[0] >= threshold), float(w[0]), threshold)
+    return PdVerdict(bool(w[0] >= threshold), float(w[0]), threshold, w)
 
 
 def build_section(kernel: Kernel, points) -> Section:
@@ -526,30 +526,9 @@ def element(section: Section, coeffs) -> RkhsElement:
     return RkhsElement(section=section, coeffs=c)
 
 
-def _require_same_section(f: RkhsElement, g: RkhsElement) -> None:
-    if f.section is g.section:
-        return
-    same = f.section.kernel == g.section.kernel and np.array_equal(
-        f.section.points, g.section.points
-    )
-    if not same:
-        raise SectionError("elements live on different sections")
-
-
-def h_inner(f: RkhsElement, g: RkhsElement) -> complex:
-    """Native-space inner product of two combinations over the same section.
-
-    Sesquilinear with the conjugate on the first argument; ``h_inner(f, f)``
-    is real and equals ``h_norm_sq(f)``.
-    """
-    _require_same_section(f, g)
-    q = np.conj(f.section.gram)
-    return complex(np.vdot(f.coeffs, q @ g.coeffs))
-
-
 def h_norm_sq(f: RkhsElement) -> float:
     """Squared native-space norm ``sum_{ij} c_i conj(c_j) G_ij`` (see module docstring)."""
-    return h_inner(f, f).real
+    return complex(np.vdot(f.coeffs, np.conj(f.section.gram) @ f.coeffs)).real
 
 
 def evaluate_element(f: RkhsElement, t):

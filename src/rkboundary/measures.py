@@ -25,7 +25,6 @@ __all__ = [
     "atomic",
     "cantor_exact",
     "scale_measure",
-    "integrate",
     "cantor4_fourier",
     "pushforward",
 ]
@@ -37,12 +36,12 @@ MAX_CANTOR_DEPTH = 26
 class QuadMeasure:
     """A boundary measure realized by quadrature nodes and positive weights.
 
-    ``kind`` is one of ``uniform``, ``gauss-hermite``, ``cantor-ifs``,
-    ``band``, ``atomic``, or ``cantor-exact``.  The exact Cantor handle has no
-    nodes; everything else stores weights with the scale factor folded in.
+    The quadrature constructors build unit-mass measures, and
+    :func:`scale_measure` is the one place a measure is scaled.  The exact
+    Cantor handle has no nodes and carries its mass in ``scale``; everything
+    else stores weights with the scale factor folded in.
     """
 
-    kind: str
     nodes: np.ndarray | None
     weights: np.ndarray | None
     scale: float = 1.0
@@ -54,7 +53,7 @@ class QuadMeasure:
         return float(np.sum(self.weights))
 
 
-def periodic_uniform(n: int, scale: float = 1.0) -> QuadMeasure:
+def periodic_uniform(n: int) -> QuadMeasure:
     """n equispaced nodes on [0, 1) with equal weights.
 
     Integrates trigonometric polynomials of degree < n exactly and annihilates
@@ -63,11 +62,10 @@ def periodic_uniform(n: int, scale: float = 1.0) -> QuadMeasure:
     if n < 1:
         raise ValueError("need at least one node")
     nodes = np.arange(n, dtype=float) / n
-    weights = np.full(n, scale / n)
-    return QuadMeasure("uniform", nodes, weights, float(scale))
+    return QuadMeasure(nodes, np.full(n, 1.0 / n))
 
 
-def gauss_hermite_plane(n: int, scale: float = 1.0) -> QuadMeasure:
+def gauss_hermite_plane(n: int) -> QuadMeasure:
     """Tensor Gauss-Hermite rule for the standard complex Gaussian on the plane.
 
     Parameters
@@ -75,8 +73,6 @@ def gauss_hermite_plane(n: int, scale: float = 1.0) -> QuadMeasure:
     n : int
         Nodes per axis.  Polynomial integrands of per-axis degree < 2n are
         integrated exactly against (1/2 pi) e^{-|z|^2 / 2} dA(z).
-    scale : float
-        Total mass of the realized measure (1 gives a probability measure).
     """
     if n < 1:
         raise ValueError("need at least one node per axis")
@@ -84,11 +80,10 @@ def gauss_hermite_plane(n: int, scale: float = 1.0) -> QuadMeasure:
     u = x * np.sqrt(2.0)
     wu = w / np.sqrt(np.pi)
     nodes = (u[:, None] + 1j * u[None, :]).ravel()
-    weights = scale * (wu[:, None] * wu[None, :]).ravel()
-    return QuadMeasure("gauss-hermite", nodes, weights, float(scale))
+    return QuadMeasure(nodes, (wu[:, None] * wu[None, :]).ravel())
 
 
-def cantor_ifs(depth: int, scale: float = 1.0) -> QuadMeasure:
+def cantor_ifs(depth: int) -> QuadMeasure:
     """Depth-D refinement of the quarter-Cantor measure: 2^D equal atoms.
 
     Atoms sit at sum_{k<=D} d_k 4^{-k} with digits d_k in {0, 2}, listed in
@@ -102,68 +97,49 @@ def cantor_ifs(depth: int, scale: float = 1.0) -> QuadMeasure:
     for k in range(1, depth + 1):
         bit = (m >> (depth - k)) & 1
         x += bit * (2.0 * 4.0 ** (-k))
-    weights = np.full(2 ** depth, scale * 2.0 ** (-depth))
-    return QuadMeasure("cantor-ifs", x, weights, float(scale))
+    return QuadMeasure(x, np.full(2 ** depth, 2.0 ** (-depth)))
 
 
-def band_gauss_legendre(n: int, scale: float = 1.0) -> QuadMeasure:
+def band_gauss_legendre(n: int) -> QuadMeasure:
     """Gauss-Legendre rule for Lebesgue measure on the frequency band [-1/2, 1/2]."""
     if n < 1:
         raise ValueError("need at least one node")
     x, w = np.polynomial.legendre.leggauss(n)
-    return QuadMeasure("band", x / 2.0, scale * w / 2.0, float(scale))
+    return QuadMeasure(x / 2.0, w / 2.0)
 
 
-def atomic(nodes, weights, scale: float = 1.0) -> QuadMeasure:
+def atomic(nodes, weights) -> QuadMeasure:
     """Finitely many atoms with strictly positive masses."""
     node_arr = np.asarray(nodes)
-    w = scale * np.asarray(weights, dtype=float)
+    w = np.asarray(weights, dtype=float)
     if node_arr.shape != w.shape or node_arr.ndim != 1:
         raise ValueError("nodes and weights must be matching 1-d sequences")
     if w.size and (not np.all(np.isfinite(w)) or np.any(w <= 0)):
         raise ValueError("weights must be strictly positive and finite")
-    return QuadMeasure("atomic", node_arr, w, float(scale))
+    return QuadMeasure(node_arr, w)
 
 
-def cantor_exact(scale: float = 1.0) -> QuadMeasure:
+def cantor_exact() -> QuadMeasure:
     """Node-free handle for the true quarter-Cantor measure.
 
     Integrals against it are evaluated through :func:`cantor4_fourier`; see
     the boundary module for the code paths that accept it.
     """
-    return QuadMeasure("cantor-exact", None, None, float(scale))
+    return QuadMeasure(None, None)
 
 
 def scale_measure(measure: QuadMeasure, alpha: float) -> QuadMeasure:
-    """Multiply all weights by alpha > 0 (Carleson constants scale the same way)."""
+    """Multiply all weights by alpha > 0 (Carleson constants scale the same way).
+
+    Raises ValueError when a scaled weight overflows to infinity.
+    """
     if not alpha > 0:
         raise ValueError("scale factor must be positive")
-    weights = None if measure.weights is None else measure.weights * alpha
+    with np.errstate(over="ignore"):
+        weights = None if measure.weights is None else measure.weights * alpha
+    if weights is not None and not np.all(np.isfinite(weights)):
+        raise ValueError(f"scaling by {alpha!r} overflows a weight")
     return dataclasses.replace(measure, weights=weights, scale=measure.scale * alpha)
-
-
-def integrate(measure: QuadMeasure, f) -> complex:
-    """Apply the node/weight rule: sum_k w_k f(b_k).
-
-    ``f`` may be a callable on the node array (a non-vectorized callable is
-    applied node by node) or an array of samples aligned with the nodes.
-    Summation is numpy's pairwise reduction, so results are deterministic for
-    a fixed node count.
-    """
-    if measure.nodes is None:
-        raise ValueError("measure has no quadrature nodes; use the exact Cantor code paths")
-    if callable(f):
-        try:
-            vals = np.asarray(f(measure.nodes))
-        except (TypeError, ValueError):
-            vals = np.asarray([f(b) for b in measure.nodes.tolist()])
-    else:
-        vals = np.asarray(f)
-    if vals.ndim == 0:
-        vals = np.full(measure.nodes.shape, vals)
-    if vals.shape != measure.nodes.shape:
-        raise ValueError("integrand samples do not match the node count")
-    return complex(np.sum(measure.weights * vals))
 
 
 def cantor4_fourier(t):

@@ -8,17 +8,14 @@ from typing import Mapping
 import numpy as np
 
 from ._linalg import row_blocks
-from .measures import cantor4_fourier, cantor_ifs
+from .measures import cantor4_fourier
 
 __all__ = [
     "MAX_LAMBDA_LEVEL",
     "MAX_EXACT_LEVEL",
     "lambda4_set",
     "lambda4_frequency_matrix",
-    "in_lambda4",
     "shannon_reconstruct",
-    "cantor_coefficients",
-    "parseval_defect",
     "parseval_table",
 ]
 
@@ -80,18 +77,6 @@ def lambda4_frequency_matrix(level: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, table[code[None, :] + (3 ** level - 1) // 2 - code[:, None]]
 
 
-def in_lambda4(n) -> bool:
-    """True when every base-4 digit of n is 0 or 1."""
-    m = int(n)
-    if m < 0:
-        return False
-    while m:
-        if m & 3 > 1:
-            return False
-        m >>= 2
-    return True
-
-
 def shannon_reconstruct(samples: Mapping[int, complex], t):
     """Truncated cardinal series sum_n f(n) sinc(t - n) over the stored support.
 
@@ -121,38 +106,6 @@ def shannon_reconstruct(samples: Mapping[int, complex], t):
         if n in samples:
             out[idx] = complex(samples[n])
     return complex(out[0]) if scalar else out
-
-
-def cantor_coefficients(f, lambdas, depth: int = 16) -> np.ndarray:
-    """Coefficients int f(x) e^{-2 pi i lambda x} dmu(x) against the quarter-Cantor measure.
-
-    A mapping ``{frequency: coefficient}`` is treated as a trigonometric
-    polynomial and integrated exactly through :func:`cantor4_fourier`; a
-    callable is integrated by the depth-``depth`` IFS refinement.
-    """
-    lam = np.asarray(lambdas, dtype=float)
-    if isinstance(f, Mapping):
-        out = np.zeros(lam.shape, dtype=complex)
-        for freq in sorted(f):
-            out += complex(f[freq]) * cantor4_fourier(float(freq) - lam)
-        return out
-    mu = cantor_ifs(depth)
-    base = np.asarray(f(mu.nodes), dtype=complex)
-    phases = np.exp(-2j * np.pi * lam[:, None] * mu.nodes[None, :])
-    return phases @ (mu.weights * base)
-
-
-def parseval_defect(k: int, level: int) -> float:
-    """Unit-norm deficit of e_k against the level-L family: 1 - sum |mu_hat(k - lambda)|^2.
-
-    Nonnegative up to rounding (a Bessel sum) and nonincreasing in the level;
-    it tends to zero exactly when the exponential family spans e_k.
-    """
-    if not 1 <= level <= MAX_PARSEVAL_LEVEL:
-        raise ValueError(f"level must be in 1..{MAX_PARSEVAL_LEVEL}")
-    lam = lambda4_set(level)
-    amp = cantor4_fourier(float(k) - lam.astype(float))
-    return float(1.0 - np.sum(np.abs(amp) ** 2))
 
 
 def parseval_table(k: int, max_level: int, min_level: int = 1) -> list[tuple[int, float]]:

@@ -17,9 +17,11 @@ from rkboundary.cli import (
     EXIT_PASS,
     EXIT_USAGE,
     EXIT_VERDICT_FAIL,
+    MAX_SCALE,
     builtin_grid,
     emit,
     main,
+    make_measure,
     parse_config,
     run,
 )
@@ -217,6 +219,7 @@ def test_adjoint_roundtrip_node_free_measure_is_usage_error(capsys):
     (["gp"], "seed", -1),
     (["shannon"], "shift", "nan"),
     (["shannon"], "shift", "inf"),
+    (["factorize"], "scale", 1e308),
 ])
 def test_out_of_range_value_is_usage_error(argv, key, value, tmp_path, capsys):
     flag = "--" + key.replace("_", "-")
@@ -228,6 +231,64 @@ def test_out_of_range_value_is_usage_error(argv, key, value, tmp_path, capsys):
     from_file = capsys.readouterr().err
     assert from_flag.startswith(f"usage error: {flag} must be")
     assert from_file == from_flag
+
+
+# the commands that integrate over a scaled measure
+SCALED_COMMANDS = ["factorize", "carleson", "project", "isometry", "adjoint-roundtrip"]
+
+
+@pytest.mark.parametrize("command", SCALED_COMMANDS)
+def test_scale_bound(command, capsys):
+    # 1e308 overflowed the boundary matrices: RuntimeWarnings and exit 3
+    assert main([command, "--scale", "1e308"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --scale must be at most 1e+200, got 1e+308\n"
+    # warnings are errors in this suite, so an overflow at the bound would exit 3
+    assert main([command, "--scale", repr(MAX_SCALE)]) in (EXIT_PASS, EXIT_VERDICT_FAIL)
+    assert json.loads(capsys.readouterr().out)["config"]["scale"] == MAX_SCALE == 1e200
+
+
+def _atomic_file(tmp_path, weights):
+    path = tmp_path / "atoms.json"
+    path.write_text(json.dumps({"nodes": [0.1, 0.3, 0.7][:len(weights)], "weights": weights}))
+    return f"atomic:{path}"
+
+
+@pytest.mark.parametrize("kernel, measure", [
+    ("szego", "uniform:999"),
+    ("bargmann", "gauss-hermite:12"),
+    ("cantor4", "cantor-ifs:8"),
+    ("sinc", "band:77"),
+    ("szego", "atomic"),
+    ("cantor4", "cantor-exact"),
+])
+def test_scale_applied_once_to_the_unit_measure(kernel, measure, tmp_path):
+    if measure == "atomic":
+        measure = _atomic_file(tmp_path, [0.5, 0.25, 0.25])
+
+    def built(scale):
+        return make_measure(parse_config(
+            ["factorize", "--kernel", kernel, "--measure", measure, "--scale", scale]))
+
+    unit, tripled = built("1"), built("3")
+    if unit.weights is None:
+        assert tripled.weights is None
+        assert tripled.total_mass == 3.0 * unit.total_mass == 3.0
+    else:
+        assert np.array_equal(tripled.nodes, unit.nodes)
+        assert np.array_equal(tripled.weights, 3.0 * unit.weights)
+        assert tripled.total_mass == pytest.approx(3.0 * unit.total_mass, rel=1e-15)
+        assert unit.total_mass == pytest.approx(1.0, rel=1e-14)
+
+
+def test_scaled_atomic_weight_overflow_is_usage_error(tmp_path, capsys):
+    argv = ["carleson", "--measure", _atomic_file(tmp_path, [1e300, 1.0]), "--scale", "1e10"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: bad measure descriptor")
+    assert "overflows a weight" in captured.err
 
 
 def test_cli_import_loads_no_scipy():
@@ -397,6 +458,16 @@ def test_section_evaluated_once_per_run(command, monkeypatch):
     calls = _spy(monkeypatch, [BoundaryExtension], "__call__")
     run(parse_config([command]))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kernel", ["szego", "bargmann", "cantor4", "sinc"])
+def test_pd_check_solves_the_eigenproblem_once(kernel, monkeypatch):
+    calls = _spy(monkeypatch, [np.linalg], "eigvalsh")
+    report = run(parse_config(["pd-check", "--kernel", kernel]))
+    assert len(calls) == 1
+    eigenvalues = [w for _, w in report.tables["eigenvalues"]["rows"]]
+    assert eigenvalues == sorted(eigenvalues)
+    assert eigenvalues[0] == report.scalars["min_eigenvalue"]
 
 
 def test_cantor_frequency_matrix_built_once_per_run(monkeypatch):

@@ -13,7 +13,6 @@ from rkboundary import (
     cantor_exact,
     cantor_ifs,
     gauss_hermite_plane,
-    integrate,
     periodic_uniform,
     pushforward,
     scale_measure,
@@ -23,12 +22,17 @@ from rkboundary import (
 MU_HAT_2 = 0.3463144563497232 + 0.5998342337933138j
 
 
-# -- integrate --------------------------------------------------------------
+def _quad(mu, f):
+    """The node/weight rule sum_k w_k f(b_k)."""
+    return complex(np.sum(mu.weights * f(mu.nodes)))
+
+
+# -- quadrature rules -------------------------------------------------------
 
 def test_total_mass_of_probability_measures():
     for mu in (periodic_uniform(64), gauss_hermite_plane(12), cantor_ifs(8),
                band_gauss_legendre(32)):
-        assert integrate(mu, lambda b: np.ones_like(b, dtype=float)) == pytest.approx(1.0, abs=1e-14)
+        assert _quad(mu, lambda b: np.ones_like(b, dtype=float)) == pytest.approx(1.0, abs=1e-14)
         assert mu.total_mass == pytest.approx(1.0, abs=1e-14)
 
 
@@ -36,16 +40,16 @@ def test_periodic_uniform_annihilates_low_frequencies():
     for n in (8, 16, 64):
         mu = periodic_uniform(n)
         for k in range(1, n):
-            val = integrate(mu, lambda x, k=k: np.exp(2j * np.pi * k * x))
+            val = _quad(mu, lambda x, k=k: np.exp(2j * np.pi * k * x))
             assert abs(val) < 1e-13
 
 
 def test_gauss_hermite_moments():
     mu = gauss_hermite_plane(20)
-    assert integrate(mu, lambda z: np.abs(z) ** 2) == pytest.approx(2.0, abs=1e-12)
-    assert integrate(mu, lambda z: z.real ** 2) == pytest.approx(1.0, abs=1e-13)
-    assert integrate(mu, lambda z: z.real ** 4) == pytest.approx(3.0, abs=1e-12)
-    assert abs(integrate(mu, lambda z: z.real ** 3)) < 1e-13
+    assert _quad(mu, lambda z: np.abs(z) ** 2) == pytest.approx(2.0, abs=1e-12)
+    assert _quad(mu, lambda z: z.real ** 2) == pytest.approx(1.0, abs=1e-13)
+    assert _quad(mu, lambda z: z.real ** 4) == pytest.approx(3.0, abs=1e-12)
+    assert abs(_quad(mu, lambda z: z.real ** 3)) < 1e-13
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 20, 64])
@@ -60,32 +64,6 @@ def test_gauss_hermite_plane_axis_moments_exact(n):
     odd_double_factorial = np.array([float(math.prod(range(p - 1, 0, -2))) for p in powers])
     exact = np.outer(odd_double_factorial, odd_double_factorial)
     assert np.max(np.abs(moments - exact) / exact) < 1e-13
-
-
-def test_integrate_linear_and_conjugation_compatible(rng):
-    mu = periodic_uniform(37)
-    f = lambda x: np.exp(2j * np.pi * 3 * x) + 0.5 * x
-    g = lambda x: np.cos(2 * np.pi * x) ** 2
-    a, b = 1.7 - 0.3j, -0.8j
-    combined = integrate(mu, lambda x: a * f(x) + b * g(x))
-    assert combined == pytest.approx(a * integrate(mu, f) + b * integrate(mu, g), abs=1e-14)
-    assert integrate(mu, lambda x: np.conj(f(x))) == pytest.approx(
-        np.conj(integrate(mu, f)), abs=1e-15
-    )
-
-
-def test_integrate_accepts_samples_and_scalar_callables():
-    mu = periodic_uniform(16)
-    assert integrate(mu, np.ones(16)) == pytest.approx(1.0, abs=1e-15)
-    # a scalar-only callable falls back to node-by-node evaluation
-    import math
-    val = integrate(mu, lambda x: math.cos(2 * math.pi * x))
-    assert abs(val) < 1e-14
-
-
-def test_integrate_rejects_nodeless_measure():
-    with pytest.raises(ValueError):
-        integrate(cantor_exact(), lambda x: x)
 
 
 # -- cantor measure ---------------------------------------------------------
@@ -121,7 +99,7 @@ def test_cantor4_fourier_rejects_non_finite(t):
 def test_cantor4_fourier_cross_oracle_against_ifs():
     mu = cantor_ifs(20)
     for t in (1.0, 2.0, 3.5, 7.0):
-        direct = integrate(mu, lambda x, t=t: np.exp(2j * np.pi * t * x))
+        direct = _quad(mu, lambda x, t=t: np.exp(2j * np.pi * t * x))
         assert abs(direct - cantor4_fourier(t)) < 1e-9
 
 
@@ -205,6 +183,14 @@ def test_scale_measure():
         scale_measure(mu, 0.0)
     with pytest.raises(ValueError):
         scale_measure(mu, -1.0)
+
+
+def test_scale_measure_refuses_overflowing_weights():
+    mu = atomic([0.0, 0.5], [1e300, 1.0])
+    with pytest.raises(ValueError, match="overflows"):
+        scale_measure(mu, 1e10)
+    # the node-free handle has no weights to overflow; it carries its mass
+    assert scale_measure(cantor_exact(), 3.0).total_mass == 3.0
 
 
 def test_atomic_rejects_bad_weights():

@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from rkboundary import (
-    cantor_coefficients,
-    in_lambda4,
     lambda4_set,
-    parseval_defect,
     parseval_table,
     shannon_reconstruct,
 )
@@ -30,7 +27,7 @@ def test_lambda4_cardinality_sorted_unique():
         lam = lambda4_set(level)
         assert lam.shape == (2 ** level,)
         assert np.all(np.diff(lam) > 0)
-        assert all(in_lambda4(x) for x in lam)
+        assert all(set(np.base_repr(x, 4)) <= {"0", "1"} for x in lam.tolist())
 
 
 def test_lambda4_level_guard():
@@ -57,10 +54,10 @@ def test_frequency_matrix_equals_transform_of_every_difference(level):
 def test_lambda4_digit_recursion():
     members = set(lambda4_set(12).tolist())
     for lam in lambda4_set(10).tolist():
-        assert (4 * lam in members) == in_lambda4(lam)
-        assert (4 * lam + 1 in members) == in_lambda4(lam)
+        assert 4 * lam in members
+        assert 4 * lam + 1 in members
     for value in (2, 3, 6, 7, 130):
-        assert not in_lambda4(value)
+        assert value not in members
 
 
 # -- cardinal series ----------------------------------------------------------
@@ -112,49 +109,18 @@ def test_shannon_process_peak(tmp_path):
     assert max_rss_kb < 45_000
 
 
-# -- cantor coefficients -------------------------------------------------------
-
-def test_coefficients_of_basis_exponential_one_hot():
-    lam = lambda4_set(4)
-    target = int(lam[5])
-    coeffs = cantor_coefficients({target: 1.0}, lam)
-    expected = np.zeros(lam.shape, dtype=complex)
-    expected[5] = 1.0
-    assert np.max(np.abs(coeffs - expected)) < 1e-12
-
-
-def test_coefficients_of_constant():
-    lam = lambda4_set(5)
-    coeffs = cantor_coefficients({0: 1.0}, lam)
-    assert coeffs[0] == pytest.approx(1.0, abs=1e-14)
-    assert np.max(np.abs(coeffs[1:])) < 1e-12
-
-
-def test_coefficients_conjugation_relation():
-    lam = lambda4_set(3)
-    poly = {1: 0.5 - 0.25j, 4: 1.0j}
-    # conj(F) has frequency content {-f: conj(c_f)} and its coefficients equal
-    # the conjugated integrals of F against e^{+2 pi i lambda x}
-    direct = cantor_coefficients({-f: np.conj(c) for f, c in poly.items()}, lam)
-    flipped = np.conj(cantor_coefficients(poly, -lam))
-    assert np.max(np.abs(direct - flipped)) < 1e-13
-
-
-def test_coefficients_callable_route_matches_exact():
-    lam = lambda4_set(3)
-    poly = {0: 0.3, 1: -0.7j, 5: 1.2}
-    exact = cantor_coefficients(poly, lam)
-    f = lambda x: sum(c * np.exp(2j * np.pi * freq * x) for freq, c in poly.items())
-    quad = cantor_coefficients(f, lam, depth=18)
-    assert np.max(np.abs(exact - quad)) < 1e-9
-
-
 # -- completeness diagnostics --------------------------------------------------
+
+def _parseval_defect(k: int, level: int) -> float:
+    """1 - sum |mu_hat(k - lambda)|^2 over the level-L frequencies, in one sum."""
+    amp = cantor4_fourier(float(k) - lambda4_set(level).astype(float))
+    return float(1.0 - np.sum(np.abs(amp) ** 2))
+
 
 def test_parseval_defect_zero_for_members():
     lam = lambda4_set(6)
     for k in (0, 1, 20, int(lam[-1])):
-        assert abs(parseval_defect(k, 6)) < 1e-12
+        assert abs(parseval_table(k, 6)[-1][1]) < 1e-12
 
 
 def test_parseval_defect_monotone_and_bounded():
@@ -168,11 +134,9 @@ def test_parseval_defect_monotone_and_bounded():
 def test_parseval_table_matches_pointwise_defect():
     rows = dict(parseval_table(2, 8))
     for level in (2, 5, 8):
-        assert rows[level] == pytest.approx(parseval_defect(2, level), abs=1e-13)
+        assert rows[level] == pytest.approx(_parseval_defect(2, level), abs=1e-13)
 
 
 def test_parseval_level_guard():
-    with pytest.raises(ValueError):
-        parseval_defect(2, 15)
     with pytest.raises(ValueError):
         parseval_table(2, 15)
