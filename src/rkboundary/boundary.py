@@ -56,7 +56,8 @@ class BoundaryMatrix:
     """Matrix of boundary products <K^B(s_i, .), K^B(s_j, .)> in L2 of the measure,
     kept with the evaluation it was assembled from.
 
-    On a node measure ``evaluation`` is E[i, k] = K^B(s_i, b_k) and
+    On a node measure ``evaluation`` is the weighted evaluation
+    A[i, k] = K^B(s_i, b_k) sqrt(w_k), so the matrix is conj(A) A^T, and
     ``frequencies`` is None.  On the exact Cantor measure ``evaluation`` is the
     power matrix P[i, j] = s_i ** lambda_j over the Lambda4 frequencies and
     ``frequencies`` the matrix mu_hat(lambda_k - lambda_j).
@@ -72,15 +73,20 @@ class BoundaryMatrix:
         """Squared L2 norms of the boundary transforms b -> sum_j c_j K^B(s_j, b)
         of each row c of a ``(trials, n)`` coefficient stack.
 
-        Direct quadrature of |c E|^2 on node measures; the quadratic form of
+        Direct quadrature sum |c A|^2 on node measures; the quadratic form of
         the frequency matrix in the amplitudes c conj(P) on the exact one.
+        The rows are reduced one block of at most ``BLOCK_BYTES`` at a time.
         """
+        out = np.empty(coeffs.shape[0])
         if self.frequencies is None:
-            vals = coeffs @ self.evaluation
-            return np.sum(self.measure.weights * np.abs(vals) ** 2, axis=-1)
-        amp = coeffs @ np.conj(self.evaluation)
-        form = np.sum(np.conj(amp) * (amp @ self.frequencies.T), axis=-1)
-        return np.real(form) * self.measure.scale
+            for rows in row_blocks(coeffs.shape[0], self.evaluation.shape[1]):
+                out[rows] = np.sum(np.abs(coeffs[rows] @ self.evaluation) ** 2, axis=-1)
+            return out
+        power = np.conj(self.evaluation)
+        for rows in row_blocks(coeffs.shape[0], power.shape[1]):
+            amp = coeffs[rows] @ power
+            out[rows] = np.real(np.sum(np.conj(amp) * (amp @ self.frequencies.T), axis=-1))
+        return out * self.measure.scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,9 +114,11 @@ def _check_pair(ext: BoundaryExtension, section: Section) -> None:
 def boundary_gram(ext: BoundaryExtension, measure: QuadMeasure, section: Section) -> BoundaryMatrix:
     """Assemble N_ij = integral of conj(K^B(s_i, b)) K^B(s_j, b) dmu(b).
 
-    Hermitian symmetry is enforced by symmetrized accumulation.  The node-free
-    exact Cantor measure is evaluated through the frequency double sum with
-    the measure's Fourier transform instead of quadrature.
+    On a node measure the evaluation is weighted once, A = E sqrt(w), and
+    N = conj(A) A^T.  Hermitian symmetry is enforced by symmetrized
+    accumulation.  The node-free exact Cantor measure is evaluated through the
+    frequency double sum with the measure's Fourier transform instead of
+    quadrature.
     """
     _check_pair(ext, section)
     frequencies = None
@@ -121,8 +129,8 @@ def boundary_gram(ext: BoundaryExtension, measure: QuadMeasure, section: Section
         e = section.points[:, None] ** lam[None, :]
         n = (e @ frequencies @ e.conj().T) * measure.scale
     else:
-        e = ext(section.points[:, None], measure.nodes[None, :])
-        n = np.conj(e) @ (e * measure.weights).T
+        e = ext(section.points[:, None], measure.nodes[None, :]) * np.sqrt(measure.weights)
+        n = np.conj(e) @ e.T
     n = 0.5 * (n + n.conj().T)
     return BoundaryMatrix(section, measure, n, e, frequencies)
 
@@ -276,18 +284,19 @@ def onto_residual(
 ) -> ProjectionResult:
     """Project boundary samples onto span{K^B(s_j, .)} in L2 of the measure.
 
-    Solves the normal equations built from the boundary matrix and the
-    adjoint; a numerically singular system is ridge-stabilized and flagged.
-    The residual is recomputed by direct quadrature of |F - fit|^2, so it is
-    meaningful either way and always lies in [0, ||F||].  An empty section
-    has the empty fit: no coefficients, residual ||F||, not ridged.
+    Solves the normal equations N c = conj(A) (sqrt(w) F) built from the
+    weighted evaluation A of the boundary matrix; a numerically singular
+    system is ridge-stabilized and flagged.  The residual is recomputed as
+    ||sqrt(w) F - c A||, the quadrature of |F - fit|^2, so it is meaningful
+    either way and always lies in [0, ||F||].  An empty section has the empty
+    fit: no coefficients, residual ||F||, not ridged.
     """
     if measure.nodes is None:
         raise ValueError("projection needs a node-based measure")
-    fv = _node_samples(boundary_values, measure)
+    fv = _node_samples(boundary_values, measure) * np.sqrt(measure.weights)
     bmat = boundary_gram(ext, measure, section)
-    nmat, e = bmat.matrix, bmat.evaluation
-    rhs = (np.conj(e) * measure.weights) @ fv  # the adjoint at the section points
+    nmat, a = bmat.matrix, bmat.evaluation
+    rhs = np.conj(a) @ fv  # the adjoint at the section points
     w = np.linalg.eigvalsh(nmat)
     ridged = bool(w.size and w[0] <= 1e-12 * max(float(w[-1]), 0.0))
     if ridged:
@@ -296,13 +305,10 @@ def onto_residual(
     else:
         solve_mat = nmat
     coeffs = np.linalg.solve(solve_mat, rhs)
-    resid = fv - coeffs @ e
-    resid_sq = float(np.sum(measure.weights * np.abs(resid) ** 2))
-    target_sq = float(np.sum(measure.weights * np.abs(fv) ** 2))
     return ProjectionResult(
-        residual=float(np.sqrt(max(resid_sq, 0.0))),
+        residual=float(np.sqrt(np.sum(np.abs(fv - coeffs @ a) ** 2))),
         coeffs=coeffs,
-        target_norm=float(np.sqrt(max(target_sq, 0.0))),
+        target_norm=float(np.sqrt(np.sum(np.abs(fv) ** 2))),
         ridged=ridged,
     )
 

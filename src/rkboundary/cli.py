@@ -436,15 +436,20 @@ def _parse(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
         raise UsageError(f"{exc.argument_name} {exc.message}") from None
 
 
-def _config_flags(path: str) -> list:
-    """The entries of a JSON config file as ``--key=value`` flags."""
+def _read_json(path: str, what: str):
+    """The document in a JSON file; an unreadable or malformed one is a usage error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            entries = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from None
+        raise UsageError(f"cannot read {what} file: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise UsageError(f"config file is not valid JSON: {exc}") from None
+        raise UsageError(f"{what} file is not valid JSON: {exc}") from None
+
+
+def _config_flags(path: str) -> list:
+    """The entries of a JSON config file as ``--key=value`` flags."""
+    entries = _read_json(path, "config")
     if not isinstance(entries, dict):
         raise UsageError("config file must hold a JSON object")
     if "config" in entries:
@@ -500,21 +505,22 @@ def make_measure(cfg: RunConfig):
             measure = _atomic_from_file(param)
         else:
             raise UsageError(f"unknown measure kind {kind!r}")
-        return scale_measure(measure, cfg.scale)
+        measure = scale_measure(measure, cfg.scale)
     except ValueError as exc:
         raise UsageError(f"bad measure descriptor {desc!r}: {exc}") from None
+    if kind == "atomic":  # the other measures carry the mass --scale gives them
+        with np.errstate(over="ignore"):
+            mass = measure.total_mass
+        if not mass <= MAX_SCALE:
+            raise UsageError(f"bad measure descriptor {desc!r}: its weights total more "
+                             f"than {MAX_SCALE:g} after scaling")
+    return measure
 
 
 def _atomic_from_file(path: str):
     if not path:
         raise UsageError("atomic measures need a file: --measure atomic:FILE")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read measure file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"measure file is not valid JSON: {exc}") from None
+    doc = _read_json(path, "measure")
     try:
         nodes = [_scalar_from_json(x) for x in doc["nodes"]]
         weights = [float(w) for w in doc["weights"]]
@@ -560,13 +566,7 @@ def make_points(cfg: RunConfig, kernel) -> np.ndarray:
     if match:
         return builtin_grid(int(match.group(1)), kernel)
     if src.endswith(".json") or os.path.exists(src):
-        try:
-            with open(src, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read points file: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"points file is not valid JSON: {exc}") from None
+        doc = _read_json(src, "points")
         if isinstance(doc, dict) and "domain" in doc and doc["domain"] != kernel.domain:
             raise UsageError(
                 f"points file is tagged for domain {doc['domain']!r} "
@@ -590,10 +590,6 @@ def _domain_probes(kernel, rng: np.random.Generator, count: int) -> np.ndarray:
     if kernel.domain == "line":
         return rng.uniform(-5.0, 5.0, size=count)
     raise UsageError(f"no probe sampler for domain {kernel.domain!r}")
-
-
-def _random_coeffs(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 # ---------------------------------------------------------------------------
@@ -666,8 +662,8 @@ def _run_factorize(cfg: RunConfig) -> Report:
 
 def _run_isometry(cfg: RunConfig) -> Report:
     section, measure, ext = _boundary_setup(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    coeffs = np.array([_random_coeffs(rng, section.size) for _ in range(cfg.samples)])
+    parts = np.random.default_rng(cfg.seed).standard_normal((cfg.samples, 2, section.size))
+    coeffs = parts[:, 0] + 1j * parts[:, 1]
     norm_sq, transformed = isometry_norms(boundary_gram(ext, measure, section), coeffs)
     defect = np.abs(norm_sq - transformed)
     normalized = defect / (1.0 + norm_sq)
@@ -704,7 +700,7 @@ def _run_adjoint_roundtrip(cfg: RunConfig) -> Report:
         raise UsageError("the round-trip samples boundary values at quadrature nodes; "
                          "use a node-based measure (e.g. cantor-ifs:10)")
     rng = np.random.default_rng(cfg.seed)
-    f = element(section, _random_coeffs(rng, section.size))
+    f = element(section, rng.standard_normal(section.size) + 1j * rng.standard_normal(section.size))
     samples = boundary_transform(f, ext)(measure.nodes)
     probes = _domain_probes(section.kernel, rng, cfg.probes)
     roundtrip = adjoint_apply(samples, ext, measure, probes)

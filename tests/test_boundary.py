@@ -186,6 +186,51 @@ def test_isometry_norms_of_a_stack_match_each_row(exact, rng):
         assert isometry_defect(f, ext, mu) == pytest.approx(abs(a - b), abs=1e-12 * (1.0 + a))
 
 
+@pytest.mark.parametrize("kernel, mu", [
+    (BargmannKernel(), gauss_hermite_plane(64)),
+    (SzegoKernel(), periodic_uniform(2048)),
+    (Cantor4Kernel(level=7), cantor_exact()),
+], ids=["bargmann", "szego", "cantor-exact"])
+def test_blocked_transform_norms_match_one_shot(kernel, mu, rng):
+    section = build_section(kernel, spiral_points(6, 0.3, 0.85))
+    bmat = boundary_gram(kernel.boundary_extension(), mu, section)
+    full = block_rows(bmat.evaluation.shape[1])
+    for count in (1, 2, full - 1, full, full + 1, 2 * full + 1):
+        c = rng.standard_normal((count, 6)) + 1j * rng.standard_normal((count, 6))
+        if bmat.frequencies is None:
+            one_shot = np.sum(np.abs(c @ bmat.evaluation) ** 2, axis=-1)
+        else:
+            amp = c @ np.conj(bmat.evaluation)
+            form = np.sum(np.conj(amp) * (amp @ bmat.frequencies.T), axis=-1)
+            one_shot = np.real(form) * mu.scale
+        assert np.array_equal(bmat.transform_norm_sq(c), one_shot), count
+
+
+def test_boundary_matrix_weights_the_evaluation_once():
+    kernel, ext, mu, section = szego_setup()
+    mu = scale_measure(atomic(mu.nodes, 0.5 + mu.nodes), 3.0)  # unequal weights
+    bmat = boundary_gram(ext, mu, section)
+    a = ext(section.points[:, None], mu.nodes[None, :]) * np.sqrt(mu.weights)
+    assert np.array_equal(bmat.evaluation, a)
+    n = np.conj(a) @ a.T
+    assert np.array_equal(bmat.matrix, 0.5 * (n + n.conj().T))
+
+
+@pytest.mark.parametrize("argv, limit_kb", [
+    # one process peak per reading: the 200 x 4096 complex evaluation is 13 MB,
+    # and its three copies took the process to about 80 MB
+    (("--points", "grid200", "--samples", "20"), 72_000),
+    # the (trials, nodes) product grew the process by about 128 KB per trial,
+    # to about 426 MB at 3000 trials
+    (("--samples", "3000"), 60_000),
+], ids=["grid200", "samples3000"])
+def test_bargmann_isometry_process_peak(argv, limit_kb, tmp_path):
+    code, max_rss_kb = cli_process_peak("isometry", "--kernel", "bargmann", *argv,
+                                        "--out", str(tmp_path / "isometry.json"))
+    assert code == 0
+    assert max_rss_kb < limit_kb
+
+
 # -- boundary transform -----------------------------------------------------
 
 def test_transform_one_hot_is_extension_column(rng):

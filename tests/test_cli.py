@@ -25,7 +25,7 @@ from rkboundary.cli import (
     parse_config,
     run,
 )
-from rkboundary.kernels import BoundaryExtension, SincKernel, SzegoKernel
+from rkboundary.kernels import BoundaryExtension, SincKernel, SzegoKernel, build_section
 
 
 # -- parsing ------------------------------------------------------------------
@@ -291,6 +291,25 @@ def test_scaled_atomic_weight_overflow_is_usage_error(tmp_path, capsys):
     assert "overflows a weight" in captured.err
 
 
+@pytest.mark.parametrize("command", SCALED_COMMANDS)
+@pytest.mark.parametrize("weights, scale", [
+    ([1.7e308, 1.7e308, 0.25], "1"),  # the total overflows, no single weight does
+    ([1e150, 1e150, 0.25], "1e60"),  # the total exceeds the bound only once scaled
+], ids=["overflowing-total", "scaled-total"])
+def test_atomic_total_mass_bound(command, weights, scale, tmp_path, capsys):
+    # the first file printed overflow RuntimeWarnings and exited 3
+    argv = [command, "--measure", _atomic_file(tmp_path, weights), "--scale", scale]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: bad measure descriptor")
+    assert captured.err.endswith(f"weights total more than {MAX_SCALE:g} after scaling\n")
+    # warnings are errors in this suite, so an overflow at the bound would exit 3
+    edge = _atomic_file(tmp_path, [0.5 * MAX_SCALE, 0.5 * MAX_SCALE])
+    assert main([command, "--measure", edge]) in (EXIT_PASS, EXIT_VERDICT_FAIL)
+    capsys.readouterr()
+
+
 def test_cli_import_loads_no_scipy():
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import rkboundary.cli, sys; "
@@ -414,6 +433,18 @@ def test_isometry_run(capsys):
                  "--samples", "20", "--seed", "1"])
     captured = capsys.readouterr()
     assert code == EXIT_PASS
+
+
+@pytest.mark.parametrize("points", ["grid0", "grid1", "grid10"])
+def test_isometry_draws_each_trial_in_stream_order(points):
+    # trial t reads its n real parts, then its n imaginary parts
+    cfg = parse_config(["isometry", "--points", points, "--samples", "7", "--seed", "3"])
+    rng = np.random.default_rng(3)
+    n = int(points[4:])
+    c = np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(7)])
+    form = np.conj(build_section(SzegoKernel(), builtin_grid(n, SzegoKernel())).gram)
+    native = np.real(np.sum(np.conj(c) * (c @ form.T), axis=-1)).tolist()
+    assert [row[1] for row in run(cfg).tables["isometry_trials"]["rows"]] == native
 
 
 def test_pd_check_run(capsys):

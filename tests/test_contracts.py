@@ -1,30 +1,58 @@
 """What other parts of the repository rely on: the names the benchmark's
-tracer wraps, and the README's library example."""
+tracer wraps, the arguments and results its counters read, and the README's
+library example."""
 
 import importlib
 import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
 
 import rkboundary
+from rkboundary import cli
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_spans(monkeypatch):
+    """bench/spans.py, loaded by path: the benchmark is not a package."""
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def test_bench_tracer_targets_resolve(monkeypatch):
     # bench/spans.py wraps these by name; a deleted or renamed one breaks the
     # traced benchmark run, whose own tests sit outside this suite
-    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
-    spec.loader.exec_module(spans)
+    spans = load_spans(monkeypatch)
     assert spans.PACKAGE == rkboundary.__name__
     missing = [f"{module}.{attr}" for module, attr, _, _ in spans.TARGETS
                if not callable(getattr(importlib.import_module(f"rkboundary.{module}"),
                                        attr, None))]
     assert missing == []
     assert "__call__" in rkboundary.BoundaryExtension.__dict__
+
+
+def test_traced_subcommands_close_spans_and_count(monkeypatch, tmp_path):
+    # the counters read the traced functions' arguments and results, so a
+    # changed signature or return type fails here, not only in a traced run
+    spans = load_spans(monkeypatch)
+    counted = {name for _, _, name, counter in spans.TARGETS if counter is not None}
+    counted.add("kernels.extension")
+    recorder = spans.Recorder()
+    with spans.Tracer(recorder):
+        codes = {command: cli.main([command, "--out", str(tmp_path / command)])
+                 for command in cli._RUNNERS}
+    assert codes == dict.fromkeys(cli._RUNNERS, cli.EXIT_PASS)
+    assert all(span.end is not None for span in recorder.spans)
+    missing = {span.name for span in recorder.spans if span.name in counted and not span.counts}
+    assert missing == set()
+    table = spans.layer_table(recorder.spans)
+    assert {"cli.run", "cli.emit", "kernels.extension", "boundary.boundary_gram"} <= set(table)
+    json.dumps(recorder.dump())
 
 
 def test_readme_library_example_runs():

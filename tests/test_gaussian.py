@@ -75,13 +75,13 @@ def test_indefinite_gram_rejected():
 # -- sampling ---------------------------------------------------------------
 
 def one_shot_draws(ensemble, count):
-    """z of a whole (count, n) batch, drawn in one request from a fresh stream."""
+    """z of a whole (count, n) batch, drawn in one request from a fresh stream;
+    a complex sample takes its n real parts, then its n imaginary parts."""
     rng = np.random.default_rng(ensemble.seed)
     n = ensemble.section.size
     if ensemble.complex_valued:
-        z = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
-        z /= np.sqrt(2.0)
-        return z
+        parts = rng.standard_normal((count, 2, n))
+        return (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
     return rng.standard_normal((count, n))
 
 
@@ -182,6 +182,27 @@ def test_streamed_covariance_matches_whole_batch(kernel, points, count):
     whole = s.T @ np.conj(s) / count
     streamed = empirical_covariance(ensemble, count)
     assert np.max(np.abs(streamed - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+
+@COMPLEX_AND_REAL
+def test_covariance_reads_one_stream_once(kernel, points, monkeypatch):
+    # a complex ensemble drew its real parts twice, from two generators on the
+    # seed: 3 count n normals
+    ensemble = build_ensemble(build_section(kernel, points), 5)
+    made = []
+    default_rng = np.random.default_rng
+
+    def spy(*args, **kwargs):
+        made.append(default_rng(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    count = 2 * SAMPLE_BLOCK + 3
+    empirical_covariance(ensemble, count)
+    assert len(made) == 1
+    fresh = default_rng(5)
+    fresh.standard_normal((2 if ensemble.complex_valued else 1) * count * len(points))
+    assert made[0].bit_generator.state == fresh.bit_generator.state
 
 
 @pytest.mark.parametrize("kernel, points", [
