@@ -12,6 +12,7 @@ the adjoint inverts the transform on section spans.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -54,20 +55,40 @@ RIDGE_FACTOR = 1e-12
 @dataclass(frozen=True, eq=False)
 class BoundaryMatrix:
     """Matrix of boundary products <K^B(s_i, .), K^B(s_j, .)> in L2 of the measure,
-    kept with the evaluation it was assembled from.
+    kept with the evaluation it is assembled from.
 
     On a node measure ``evaluation`` is the weighted evaluation
     A[i, k] = K^B(s_i, b_k) sqrt(w_k), so the matrix is conj(A) A^T, and
     ``frequencies`` is None.  On the exact Cantor measure ``evaluation`` is the
     power matrix P[i, j] = s_i ** lambda_j over the Lambda4 frequencies and
-    ``frequencies`` the matrix mu_hat(lambda_k - lambda_j).
+    ``frequencies`` the matrix mu_hat(lambda_k - lambda_j).  The matrix is
+    formed on first read, so a caller that reads only the evaluation (the
+    isometry norms) never pays for the product.
     """
 
     section: Section
     measure: QuadMeasure
-    matrix: np.ndarray
     evaluation: np.ndarray
     frequencies: np.ndarray | None
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """N_ij = integral of conj(K^B(s_i, b)) K^B(s_j, b) dmu(b), Hermitian.
+
+        On a node measure N = conj(A) A^T is formed one block of rows at a
+        time, so only one block of A is ever conjugated; the exact Cantor
+        measure goes through the frequency double sum with the measure's
+        Fourier transform.  Hermitian symmetry is enforced by symmetrized
+        accumulation.
+        """
+        e = self.evaluation
+        if self.frequencies is None:
+            n = np.empty((e.shape[0], e.shape[0]), dtype=complex)
+            for rows in row_blocks(*e.shape):
+                n[rows] = np.conj(e[rows]) @ e.T
+        else:
+            n = (e @ self.frequencies @ e.conj().T) * self.measure.scale
+        return 0.5 * (n + n.conj().T)
 
     def transform_norm_sq(self, coeffs: np.ndarray) -> np.ndarray:
         """Squared L2 norms of the boundary transforms b -> sum_j c_j K^B(s_j, b)
@@ -112,27 +133,28 @@ def _check_pair(ext: BoundaryExtension, section: Section) -> None:
 
 
 def boundary_gram(ext: BoundaryExtension, measure: QuadMeasure, section: Section) -> BoundaryMatrix:
-    """Assemble N_ij = integral of conj(K^B(s_i, b)) K^B(s_j, b) dmu(b).
+    """The boundary matrix N_ij = integral of conj(K^B(s_i, b)) K^B(s_j, b) dmu(b)
+    of a section, with the evaluation it is assembled from.
 
-    On a node measure the evaluation is weighted once, A = E sqrt(w), and
-    N = conj(A) A^T.  Hermitian symmetry is enforced by symmetrized
-    accumulation.  The node-free exact Cantor measure is evaluated through the
-    frequency double sum with the measure's Fourier transform instead of
-    quadrature.
+    On a node measure the weighted evaluation A = E sqrt(w) is filled in
+    place one block of rows at a time, so neither E nor a second full-size
+    copy of A is ever held.  The node-free exact Cantor measure is evaluated
+    through the frequency double sum with the measure's Fourier transform
+    instead of quadrature.
     """
     _check_pair(ext, section)
-    frequencies = None
+    points = section.points
     if measure.nodes is None:
         if not isinstance(ext.kernel, Cantor4Kernel):
             raise ValueError("the exact Cantor measure pairs only with the truncated Cantor kernel")
         lam, frequencies = lambda4_frequency_matrix(ext.kernel.level)
-        e = section.points[:, None] ** lam[None, :]
-        n = (e @ frequencies @ e.conj().T) * measure.scale
-    else:
-        e = ext(section.points[:, None], measure.nodes[None, :]) * np.sqrt(measure.weights)
-        n = np.conj(e) @ e.T
-    n = 0.5 * (n + n.conj().T)
-    return BoundaryMatrix(section, measure, n, e, frequencies)
+        return BoundaryMatrix(section, measure, points[:, None] ** lam[None, :], frequencies)
+    nodes = measure.nodes
+    root = np.sqrt(measure.weights)
+    a = np.empty((points.shape[0], nodes.shape[0]), dtype=complex)
+    for rows in row_blocks(*a.shape):
+        np.multiply(ext(points[rows, None], nodes[None, :]), root, out=a[rows])
+    return BoundaryMatrix(section, measure, a, None)
 
 
 def membership_defect(

@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import __version__
+from ._linalg import row_blocks
 from .boundary import (
     adjoint_apply,
     boundary_gram,
@@ -60,7 +61,7 @@ from .reconstruct import (
     MAX_EXACT_LEVEL,
     MAX_LAMBDA_LEVEL,
     MAX_PARSEVAL_LEVEL,
-    lambda4_frequency_matrix,
+    _frequency_table,
     parseval_table,
     shannon_reconstruct,
 )
@@ -233,31 +234,33 @@ def _json_text(doc: dict) -> str:
     The indenting encoder runs in Python, so it dumps the report with each
     table's rows replaced by a placeholder; the rows, nearly all of the bytes,
     are rendered by the C encoder and spliced in at the placeholder's place.
+    The pieces are collected back to front and joined once.
     """
     tables = doc["tables"]
     shell = {**doc, "tables": {name: {**table, "rows": f"\0rows of {name}"}
                                for name, table in tables.items()}}
     text = json.dumps(shell, sort_keys=True, indent=2, allow_nan=False, default=_json_default)
-    for name, table in tables.items():
-        # the tables follow the config, which may echo any string, so the
-        # rightmost match is the placeholder
-        head, _, tail = text.rpartition(json.dumps(f"\0rows of {name}"))
-        text = head + _json_rows(table["rows"]) + tail
-    return text + "\n"
+    pieces = ["\n"]
+    # sort_keys orders the placeholders by table name; the tables follow the
+    # config, which may echo any string, so the rightmost match is the placeholder
+    for name in sorted(tables, reverse=True):
+        text, _, tail = text.rpartition(json.dumps(f"\0rows of {name}"))
+        pieces[:0] = [*_json_rows(tables[name]["rows"]), tail]
+    return "".join([text, *pieces])
 
 
-def _json_rows(rows: list) -> str:
-    """A table's rows as the indenting encoder prints them at their depth.
+def _json_rows(rows: list) -> list[str]:
+    """A table's rows as the indenting encoder prints them at their depth, in pieces.
 
     Rows hold numbers only, so every ", " of the compact form separates two
     cells and every "], [" two rows.
     """
     if not rows:
-        return "[]"
-    flat = _ROW_ENCODER.encode(rows)  # [[a, b], [c, d]]
-    cells = flat[2:-2].replace("], [", "\n        ],\n        [\n          ")
-    cells = cells.replace(", ", ",\n          ")
-    return "[\n        [\n          " + cells + "\n        ]\n      ]"
+        return ["[]"]
+    cells = _ROW_ENCODER.encode(rows)[2:-2]  # [[a, b], [c, d]] -> a, b], [c, d
+    cells = cells.replace("], [", "\n        ],\n        [\n          ")
+    return ["[\n        [\n          ", cells.replace(", ", ",\n          "),
+            "\n        ]\n      ]"]
 
 
 def _json_default(value):
@@ -799,11 +802,19 @@ def _run_shannon(cfg: RunConfig) -> Report:
 
 
 def _run_cantor_onb(cfg: RunConfig) -> Report:
-    lam, inner = lambda4_frequency_matrix(cfg.level)
-    off = np.abs(inner - np.eye(lam.shape[0]))
-    max_diag = float(np.max(np.diag(off)))
-    np.fill_diagonal(off, 0.0)
-    row_max = np.max(off, axis=1)
+    # the frequency matrix M is gathered from its 3**level distinct entries one
+    # block of rows at a time; the gaps are |M - I| on and off the diagonal
+    lam, code, transform = _frequency_table(cfg.level)
+    size = lam.shape[0]
+    row_max = np.empty(size)
+    max_diag = 0.0
+    for rows in row_blocks(size, size):
+        block = transform[code[None, :] + transform.shape[0] // 2 - code[rows, None]]
+        local, diag = np.arange(rows.stop - rows.start), np.arange(rows.start, rows.stop)
+        max_diag = max(max_diag, float(np.max(np.abs(block[local, diag] - 1.0))))
+        off = np.abs(block)
+        off[local, diag] = 0.0
+        row_max[rows] = np.max(off, axis=1)
     max_off = float(np.max(row_max))
     mu_hat_one = float(np.abs(cantor4_fourier(1.0)))
     table = parseval_table(cfg.freq, cfg.parseval_max, min_level=2)

@@ -66,15 +66,22 @@ def lambda4_frequency_matrix(level: int) -> tuple[np.ndarray, np.ndarray]:
     matrix, so the transform truncates its product at the same factor and M is
     bit-identical to evaluating every entry.
     """
+    lam, code, table = _frequency_table(level)
+    return lam, table[code[None, :] + table.shape[0] // 2 - code[:, None]]
+
+
+def _frequency_table(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frequencies, their base-3 codes and the 3**level transform table of
+    :func:`lambda4_frequency_matrix`, whose entry M[j, k] is
+    ``table[code[k] - code[j] + table.shape[0] // 2]``.
+    """
     if level > MAX_EXACT_LEVEL:
         raise ValueError(f"level must be at most {MAX_EXACT_LEVEL} for the frequency matrix")
     lam = lambda4_set(level)
     diffs = np.zeros(1, dtype=np.int64)
     for i in range(level):
         diffs = (np.arange(-1, 2, dtype=np.int64)[:, None] * np.int64(4) ** i + diffs).ravel()
-    table = cantor4_fourier(diffs.astype(float))
-    code = _bits_in_base(level, 3)
-    return lam, table[code[None, :] + (3 ** level - 1) // 2 - code[:, None]]
+    return lam, _bits_in_base(level, 3), cantor4_fourier(diffs.astype(float))
 
 
 def shannon_reconstruct(samples: Mapping[int, complex], t):

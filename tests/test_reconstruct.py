@@ -10,6 +10,7 @@ from rkboundary import (
 )
 from conftest import block_rows, cli_process_peak
 
+from rkboundary.cli import parse_config, run
 from rkboundary.measures import cantor4_fourier
 from rkboundary.reconstruct import MAX_EXACT_LEVEL, lambda4_frequency_matrix
 
@@ -107,6 +108,30 @@ def test_shannon_process_peak(tmp_path):
     code, max_rss_kb = cli_process_peak("shannon", "--out", str(tmp_path / "shannon.json"))
     assert code == 0
     assert max_rss_kb < 45_000
+
+
+@pytest.mark.parametrize("level", [1, 6, 9, 10])
+def test_blocked_cantor_onb_gaps_match_full_matrix(level):
+    # levels 9 and 10 gather the frequency matrix in 2 and 8 row blocks
+    lam, inner = lambda4_frequency_matrix(level)
+    off = np.abs(inner - np.eye(lam.shape[0]))
+    max_diag = np.max(np.diag(off))
+    np.fill_diagonal(off, 0.0)
+    row_max = np.max(off, axis=1)
+    report = run(parse_config(["cantor-onb", "--level", str(level)]))
+    assert report.scalars["max_diagonal_gap"] == max_diag
+    assert report.scalars["max_offdiagonal"] == np.max(row_max)
+    assert report.tables["row_max_offdiagonal"]["rows"] == [
+        [int(f), float(m)] for f, m in zip(lam, row_max)]
+
+
+def test_cantor_onb_process_peak(tmp_path):
+    # the level-12 frequency matrix has 4**12 complex entries (268 MB); holding
+    # it and |M - I| at once took the process to about 690 MB
+    code, max_rss_kb = cli_process_peak("cantor-onb", "--level", "12",
+                                        "--out", str(tmp_path / "cantor-onb.json"))
+    assert code == 0
+    assert max_rss_kb < 120_000
 
 
 # -- completeness diagnostics --------------------------------------------------
