@@ -49,7 +49,6 @@ __all__ = [
 ]
 
 MEMBERSHIP_TOL = 1e-8
-RIDGE_FACTOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,12 +289,13 @@ def carleson_constant(ext: BoundaryExtension, measure: QuadMeasure, section: Sec
 
 @dataclass(frozen=True, eq=False)
 class ProjectionResult:
-    """Least-squares projection of boundary samples onto a section's boundary span."""
+    """Least-squares projection of boundary samples onto a section's boundary span,
+    with the numerical rank of the fit."""
 
     residual: float
     coeffs: np.ndarray
     target_norm: float
-    ridged: bool
+    rank: int
 
 
 def onto_residual(
@@ -306,32 +306,32 @@ def onto_residual(
 ) -> ProjectionResult:
     """Project boundary samples onto span{K^B(s_j, .)} in L2 of the measure.
 
-    Solves the normal equations N c = conj(A) (sqrt(w) F) built from the
-    weighted evaluation A of the boundary matrix; a numerically singular
-    system is ridge-stabilized and flagged.  The residual is recomputed as
-    ||sqrt(w) F - c A||, the quadrature of |F - fit|^2, so it is meaningful
-    either way and always lies in [0, ||F||].  An empty section has the empty
-    fit: no coefficients, residual ||F||, not ridged.
+    Minimizes ||sqrt(w) F - c A|| over c, with A the weighted evaluation of
+    the boundary matrix, without forming the normal equations, which square
+    the condition of A.  The R factor of the QR of [A^T, sqrt(w) F] has the
+    form [[R, z], [0, rho]], with no rho row when there are at most n nodes;
+    the SVD R = U S V^H keeps the singular values above numpy's ``lstsq``
+    cutoff S_0 eps max(nodes, n), their count is the rank r, and
+    c = V_r (U_r^H z / S_r) is the minimum-norm fit.  The residual, the
+    quadrature of |F - fit|^2, is the sum of squares
+    sqrt(rho^2 + ||U_perp^H z||^2), so it lies in [0, ||F||] up to rounding.
+    An empty section has the empty fit: no coefficients, rank 0, residual ||F||.
     """
     if measure.nodes is None:
         raise ValueError("projection needs a node-based measure")
     fv = _node_samples(boundary_values, measure) * np.sqrt(measure.weights)
-    bmat = boundary_gram(ext, measure, section)
-    nmat, a = bmat.matrix, bmat.evaluation
-    rhs = np.conj(a) @ fv  # the adjoint at the section points
-    w = np.linalg.eigvalsh(nmat)
-    ridged = bool(w.size and w[0] <= 1e-12 * max(float(w[-1]), 0.0))
-    if ridged:
-        ridge = RIDGE_FACTOR * float(np.real(np.trace(nmat))) / max(section.size, 1)
-        solve_mat = nmat + ridge * np.eye(section.size)
-    else:
-        solve_mat = nmat
-    coeffs = np.linalg.solve(solve_mat, rhs)
+    n, m = section.size, fv.size
+    # qr copies its input twice more, so A is not kept beside the stacked copy
+    r = np.linalg.qr(np.concatenate([boundary_gram(ext, measure, section).evaluation,
+                                     fv[None, :]]).T, mode="r")
+    u, sigma, vh = np.linalg.svd(r[:n, :n])
+    rank = int(np.sum(sigma > sigma.max(initial=0.0) * np.finfo(float).eps * max(m, n)))
+    z = u.conj().T @ r[:n, n]
     return ProjectionResult(
-        residual=float(np.sqrt(np.sum(np.abs(fv - coeffs @ a) ** 2))),
-        coeffs=coeffs,
+        residual=float(np.sqrt(np.sum(np.abs(r[n:, n]) ** 2) + np.sum(np.abs(z[rank:]) ** 2))),
+        coeffs=vh[:rank].conj().T @ (z[:rank] / sigma[:rank]),
         target_norm=float(np.sqrt(np.sum(np.abs(fv) ** 2))),
-        ridged=ridged,
+        rank=rank,
     )
 
 

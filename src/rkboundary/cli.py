@@ -734,7 +734,7 @@ def _run_project(cfg: RunConfig) -> Report:
     report.scalars = {
         "residual": result.residual,
         "target_norm": result.target_norm,
-        "ridged": result.ridged,
+        "rank": result.rank,
     }
     report.tables["projection_coefficients"] = {
         "columns": ["index", "re", "im"],

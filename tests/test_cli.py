@@ -195,7 +195,7 @@ def test_project_empty_section(capsys):
     assert main(["project", "--points", "grid0"]) == EXIT_PASS
     doc = json.loads(capsys.readouterr().out)
     assert doc["scalars"]["residual"] == doc["scalars"]["target_norm"] > 0
-    assert doc["scalars"]["ridged"] is False
+    assert doc["scalars"]["rank"] == 0
     assert doc["tables"]["projection_coefficients"]["rows"] == []
 
 

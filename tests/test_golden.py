@@ -4,7 +4,8 @@ The files under ``tests/golden/`` are the contract for refactors that promise
 identical output.  Regenerate them only for an intended change of report
 bytes, with ``PYTHONPATH=src python tests/test_golden.py``.  Before it
 overwrites a golden whose bytes changed, it prints whether every verdict kept
-its name and ``passed`` flag, and the largest absolute change in any number.
+its name and ``passed`` flag, the scalars a JSON report added or removed, and
+the largest absolute change in any number both reports hold.
 With ``--check`` it prints the same lines, writes nothing, and exits 1 if any
 golden would change.
 """
@@ -130,16 +131,49 @@ def report_verdicts(text: str) -> list:
     return rows
 
 
+def numbers_by_path(node, path: str = "") -> dict:
+    """Every number of a parsed JSON report keyed by its path, such as
+    ``.tables.probe_errors.rows[3][2]``; booleans are flags, not numbers."""
+    if isinstance(node, dict):
+        items = ((f"{path}.{key}", child) for key, child in node.items())
+    elif isinstance(node, list):
+        items = ((f"{path}[{i}]", child) for i, child in enumerate(node))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        return {path: float(node)}
+    else:
+        return {}
+    return {key: value for p, child in items for key, value in numbers_by_path(child, p).items()}
+
+
 def describe_change(old: str, new: str) -> str:
-    """One line on what a regenerated report changed: verdicts and numbers."""
-    verdicts = "unchanged" if report_verdicts(old) == report_verdicts(new) else "CHANGED"
+    """One line on what a regenerated report changed: verdicts and numbers.
+
+    A JSON report names the scalars added and removed and compares the
+    numbers both reports hold at the same path; a CSV report compares its
+    numbers in order, and only when it holds as many as before.
+    """
+    parts = ["verdict names and flags "
+             + ("unchanged" if report_verdicts(old) == report_verdicts(new) else "CHANGED")]
+    if old.startswith("{"):
+        docs = json.loads(old), json.loads(new)
+        before, after = (set(doc["scalars"]) for doc in docs)
+        parts += [f"scalars {what}: {', '.join(sorted(keys))}"
+                  for what, keys in (("added", after - before), ("removed", before - after)) if keys]
+        a, b = (numbers_by_path(doc) for doc in docs)
+        shared = a.keys() & b.keys()
+        if len(a) != len(b):
+            parts.append(f"number of values changed from {len(a)} to {len(b)}")
+        change = max((abs(a[key] - b[key]) for key in shared), default=0.0)
+        scope = "" if a.keys() == b.keys() else f" over the {len(shared)} values both share"
+        parts.append(f"largest absolute change {change:.3e}{scope}")
+        return "; ".join(parts)
     a = [float(t) for t in NUMBER.findall(old)]
     b = [float(t) for t in NUMBER.findall(new)]
     if len(a) != len(b):
-        values = f"number of values changed from {len(a)} to {len(b)}"
+        parts.append(f"number of values changed from {len(a)} to {len(b)}")
     else:
-        values = f"largest absolute change {max(abs(x - y) for x, y in zip(a, b)):.3e}"
-    return f"verdict names and flags {verdicts}; {values}"
+        parts.append(f"largest absolute change {max(abs(x - y) for x, y in zip(a, b)):.3e}")
+    return "; ".join(parts)
 
 
 def test_describe_change_reports_values_and_verdicts():
@@ -150,6 +184,13 @@ def test_describe_change_reports_values_and_verdicts():
     new = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert describe_change(old, new) == (
         "verdict names and flags unchanged; largest absolute change 1.000e-03")
+    doc["scalars"]["covariance_gap"] = doc["scalars"].pop("covariance_defect")
+    renamed = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    shared = len(numbers_by_path(doc)) - 1
+    assert describe_change(old, renamed) == (
+        "verdict names and flags unchanged; scalars added: covariance_gap; "
+        "scalars removed: covariance_defect; largest absolute change 1.000e-03 "
+        f"over the {shared} values both share")
     doc["verdicts"][0]["passed"] = False
     flipped = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert describe_change(old, flipped).startswith("verdict names and flags CHANGED")
