@@ -15,8 +15,9 @@ __all__ = [
 # is zero; one below -NEGATIVE_TOL of that scale is a negative direction
 PRUNE_TOL = 1e-12
 NEGATIVE_TOL = 1e-10
-# row_blocks: the complex evaluation of one block of rows stays within this
-BLOCK_BYTES = 2 * 1024 * 1024
+# row_blocks: each complex array that one block of rows holds stays within
+# this, the evaluation and any scratch array beside it alike
+BLOCK_BYTES = 1024 * 1024
 
 
 class NotHermitianError(ValueError):
@@ -48,8 +49,12 @@ def require_hermitian(matrix, rel_tol: float = 1e-12, what: str = "matrix") -> n
 
 
 def row_blocks(rows: int, width: int):
-    """Slices of ``range(rows)`` whose complex ``(block, width)`` evaluation
-    fits in ``BLOCK_BYTES``, or holds three rows where fewer fit.
+    """Slices of ``range(rows)`` whose complex ``(block, width)`` arrays each
+    fit in ``BLOCK_BYTES``, or hold three rows where fewer fit.
+
+    The budget bounds each array live at once, not their sum: an extension
+    evaluates a block into one array beside at most two scratch arrays of the
+    same shape.
 
     A block never has one row unless ``rows`` is one: numpy reduces a
     one-row matrix against a vector by another BLAS path, which rounds

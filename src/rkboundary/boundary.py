@@ -189,14 +189,20 @@ def membership_defect(
 
 
 def boundary_transform(f: RkhsElement, ext: BoundaryExtension):
-    """Boundary-side function b -> sum_j c_j K^B(s_j, b), as a vectorized callable."""
+    """Boundary-side function b -> sum_j c_j K^B(s_j, b), as a vectorized callable.
+
+    The extension is evaluated and reduced one block of boundary points at a
+    time.
+    """
     points = f.section.points
     coeffs = f.coeffs
 
     def transform(b):
         arr = np.asarray(b)
-        vals = ext(points[:, None], np.atleast_1d(arr)[None, :])
-        out = coeffs @ vals
+        nodes = np.atleast_1d(arr)
+        out = np.empty(nodes.shape, dtype=complex)
+        for cols in row_blocks(nodes.shape[0], points.shape[0]):
+            out[cols] = coeffs @ ext(points[:, None], nodes[None, cols])
         return complex(out[0]) if arr.ndim == 0 else out
 
     return transform
@@ -252,7 +258,9 @@ def adjoint_apply(boundary_values, ext: BoundaryExtension, measure: QuadMeasure,
     out = np.empty(pts.shape, dtype=complex)
     for rows in row_blocks(pts.shape[0], measure.nodes.shape[0]):
         cols = ext(pts[rows, None], measure.nodes[None, :])
-        out[rows] = (np.conj(cols) * measure.weights) @ fv
+        np.conj(cols, out=cols)
+        np.multiply(cols, measure.weights, out=cols)
+        out[rows] = cols @ fv
     return complex(out[0]) if arr.ndim == 0 else out
 
 

@@ -149,7 +149,10 @@ class SzegoKernel(Kernel):
         return _disk_points(points)
 
     def _eval(self, s, t):
-        return 1.0 / (1.0 - np.conj(s) * t)
+        out = np.asarray(np.conj(s) * t)
+        np.subtract(1.0, out, out=out)
+        np.divide(1.0, out, out=out)
+        return out[()]
 
     def boundary_extension(self):
         return SzegoCircleExtension(self)
@@ -204,14 +207,19 @@ class Cantor4Kernel(Kernel):
         return _disk_points(points)
 
     def _eval(self, s, t):
-        u = np.conj(s) * t
-        out = np.ones_like(u)
-        p = u
+        # the running power p = u^(4^l) and 1 + p are the only scratch arrays;
+        # the product keeps the order out * (1 + p), because complex multiply
+        # is not bitwise commutative and numpy's temporary elision would swap
+        # the operands of an expression on arrays of 256 KiB or more
+        p = np.asarray(np.conj(s) * t)
+        out = np.ones_like(p)
+        factor = np.empty_like(p)
         for _ in range(self.level):
-            out = out * (1.0 + p)
-            q = p * p
-            p = q * q
-        return out
+            np.add(1.0, p, out=factor)
+            np.multiply(out, factor, out=out)
+            np.multiply(p, p, out=p)
+            np.multiply(p, p, out=p)
+        return out[()]
 
     def boundary_extension(self):
         return Cantor4CircleExtension(self)
@@ -364,7 +372,10 @@ class BargmannPlaneExtension(BoundaryExtension):
         return z
 
     def _eval(self, s, b):
-        return np.exp(0.5 * np.conj(s) * b - 0.25 * np.abs(s) ** 2)
+        out = np.asarray(0.5 * np.conj(s) * b)
+        np.subtract(out, 0.25 * np.abs(s) ** 2, out=out)
+        np.exp(out, out=out)
+        return out[()]
 
 
 class SincBandExtension(BoundaryExtension):
@@ -385,7 +396,9 @@ class SincBandExtension(BoundaryExtension):
         return pts
 
     def _eval(self, s, b):
-        return np.exp(-2j * np.pi * s * b)
+        out = np.asarray(-2j * np.pi * s * b)
+        np.exp(out, out=out)
+        return out[()]
 
 
 class FrameExtension(BoundaryExtension):

@@ -150,6 +150,48 @@ def test_cantor_product_equals_power_sum(rng):
     assert np.max(np.abs(kernel(z, w) - power_sum)) < 1e-12
 
 
+def _cantor_product(level):
+    def formula(s, t):
+        u = np.conj(s) * t
+        out = np.ones_like(u)
+        p = u
+        for _ in range(level):
+            factor = 1.0 + p  # named, so numpy cannot swap the operands below
+            out = out * factor
+            q = p * p
+            p = q * q
+        return out
+    return formula
+
+
+def _band(rng, n):
+    return rng.uniform(-0.5, 0.5, size=n)
+
+
+EVAL_CASES = [
+    (SzegoKernel(), disk_points, disk_points, lambda s, t: 1.0 / (1.0 - np.conj(s) * t)),
+    (Cantor4Kernel(level=6), disk_points, disk_points, _cantor_product(6)),
+    (BargmannKernel().boundary_extension(), plane_points, plane_points,
+     lambda s, b: np.exp(0.5 * np.conj(s) * b - 0.25 * np.abs(s) ** 2)),
+    (SincKernel().boundary_extension(), line_points, _band,
+     lambda s, b: np.exp(-2j * np.pi * s * b)),
+]
+
+
+@pytest.mark.parametrize("rule, first, second, formula", EVAL_CASES,
+                         ids=["szego", "cantor4", "bargmann-plane", "sinc-band"])
+def test_in_place_eval_matches_formula(rule, first, second, formula, rng):
+    s0, t0 = np.asarray(first(rng, 1)[0]), np.asarray(second(rng, 1)[0])
+    value = rule(s0, t0)
+    assert not isinstance(value, np.ndarray)
+    assert value == formula(s0, t0)
+    # 8 x 1024 complex values are 128 KiB and 8 x 4096 are 512 KiB: numpy
+    # elides the temporaries of an expression from 256 KiB on
+    for width in (1024, 4096):
+        s, t = first(rng, 8)[:, None], second(rng, width)[None, :]
+        assert np.array_equal(rule(s, t), formula(s, t)), width
+
+
 # -- boundary extensions ----------------------------------------------------
 
 def test_szego_extension_values():

@@ -112,7 +112,7 @@ def test_shannon_process_peak(tmp_path):
 
 @pytest.mark.parametrize("level", [1, 6, 9, 10])
 def test_blocked_cantor_onb_gaps_match_full_matrix(level):
-    # levels 9 and 10 gather the frequency matrix in 2 and 8 row blocks
+    # levels 9 and 10 gather the frequency matrix in 4 and 16 row blocks
     lam, inner = lambda4_frequency_matrix(level)
     off = np.abs(inner - np.eye(lam.shape[0]))
     max_diag = np.max(np.diag(off))
