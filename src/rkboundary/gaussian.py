@@ -5,6 +5,10 @@ zero-mean Gaussian vector indexed by the section's points with covariance
 G_ij = K(s_i, s_j).  Real-symmetric kernels get real samples; everything else
 gets circularly symmetric complex samples so the second-moment identity
 E[x x*] = G holds.
+
+:func:`empirical_covariance` draws the second moment of N draws from its
+Wishart law through one Bartlett factor (Bartlett 1933; Odell & Feiveson,
+JASA 61, 1966), so its cost does not depend on N.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from .kernels import Section
 
 __all__ = [
     "FACTOR_TOL",
-    "SAMPLE_BLOCK",
     "GaussianEnsemble",
     "SampleBatch",
     "build_ensemble",
@@ -29,9 +32,6 @@ __all__ = [
 ]
 
 FACTOR_TOL = 1e-10
-
-# Rows per block of draws: 4096 x 60 normals take 1.97 MB, twice that for a complex kernel
-SAMPLE_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,34 +111,29 @@ def sample(ensemble: GaussianEnsemble, count: int) -> SampleBatch:
 
 
 def empirical_covariance(ensemble: GaussianEnsemble, count: int) -> np.ndarray:
-    """(1/N) sum_k x x* over the ``count`` samples x = L z that :func:`sample`
-    draws, symmetrized so Hermitian symmetry holds exactly.
+    """(1/N) sum_k x x* over N = ``count`` samples x = L z, as L W L* / N with
+    W = sum_k z z*, symmetrized so Hermitian symmetry holds exactly.
 
-    It is computed as L W L* from the second moment W = (1/N) sum_k z z* of
-    the draws, which is accumulated in real arithmetic one block of at most
-    SAMPLE_BLOCK rows at a time: with z = (a + ib)/sqrt(2),
-    2 sum z z* = sum (a a^T + b b^T) + i (X - X^T) with X = sum b a^T.
-    Each row of the stream holds a sample's real parts followed by its
-    imaginary parts, so the blocks read the stream in order and the
-    ``(count, n)`` draws are never held.
+    W is drawn from its law, not from N draws.  A draw's d = n real parts (2n:
+    real, then imaginary parts, for a complex kernel) give M = sum u u^T ~
+    Wishart W_d(N, I) = T T^T, whose Bartlett factor T is d x min(d, N) lower
+    trapezoidal: iid N(0, 1) below the diagonal, T_ii = sqrt(chi2(N - i)).
+    With z = (a + ib)/sqrt(2), W = (M_11 + M_22 + i (M_21 - M_21^T)) / 2 in
+    the n x n blocks of M.  The degrees of freedom are floats, so any N >= 2
+    costs the same d min(d, N) normals.
     """
     if count < 2:
         raise ValueError("need at least two samples")
     n = ensemble.section.size
+    d = 2 * n if ensemble.complex_valued else n
+    rank = min(d, count)
     rng = np.random.default_rng(ensemble.seed)
-    parts = 2 if ensemble.complex_valued else 1
-    moment = np.zeros((n, n))
-    cross = np.zeros((n, n))
-    for start in range(0, count, SAMPLE_BLOCK):
-        draws = rng.standard_normal((min(SAMPLE_BLOCK, count - start), parts, n))
-        re = draws[:, 0]
-        moment += re.T @ re
-        if ensemble.complex_valued:
-            im = draws[:, 1]
-            moment += im.T @ im
-            cross += im.T @ re
+    bartlett = np.tril(rng.standard_normal((d, rank)), -1)
+    np.fill_diagonal(bartlett, np.sqrt(rng.chisquare(float(count) - np.arange(rank))))
+    moment = bartlett @ bartlett.T
     if ensemble.complex_valued:
-        moment = 0.5 * (moment + 1j * (cross - cross.T))
+        cross = moment[n:, :n]
+        moment = 0.5 * (moment[:n, :n] + moment[n:, n:] + 1j * (cross - cross.T))
     factor = ensemble.factor
     c = factor @ moment @ factor.conj().T / count
     return 0.5 * (c + c.conj().T)
@@ -153,8 +148,10 @@ def covariance_gap(cov: np.ndarray, gram: np.ndarray) -> float:
 
 
 def covariance_defect(ensemble: GaussianEnsemble, count: int) -> float:
-    """:func:`covariance_gap` of the empirical covariance of ``count`` fresh samples.
+    """:func:`covariance_gap` of the empirical covariance of ``count`` samples.
 
-    Decays at the Monte-Carlo rate count^{-1/2}.
+    Its second moment is Wishart W_d(count, I) drawn through a Bartlett factor,
+    so the gap has its law over ``count`` fresh samples and decays at the
+    Monte-Carlo rate count^{-1/2}.
     """
     return covariance_gap(empirical_covariance(ensemble, count), ensemble.section.gram)

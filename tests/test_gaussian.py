@@ -1,12 +1,16 @@
 """Gaussian ensembles: factorization, determinism, statistics."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import cli_process_peak, spiral_points
+from conftest import SRC, cli_process_peak, spiral_points
 
 from rkboundary import (
     BargmannKernel,
@@ -19,11 +23,11 @@ from rkboundary import (
     build_ensemble,
     build_section,
     covariance_defect,
+    covariance_gap,
     empirical_covariance,
     sample,
 )
 from rkboundary.cli import main
-from rkboundary.gaussian import SAMPLE_BLOCK
 
 
 def zoo_sections():
@@ -92,7 +96,7 @@ COMPLEX_AND_REAL = pytest.mark.parametrize("kernel, points", [
 
 
 @COMPLEX_AND_REAL
-@pytest.mark.parametrize("count", [2, 100, SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK + 37])
+@pytest.mark.parametrize("count", [2, 100, 4097, 8229])
 def test_sample_matches_one_shot_draws(kernel, points, count):
     ensemble = build_ensemble(build_section(kernel, points), 17)
     batch = sample(ensemble, count)
@@ -142,17 +146,20 @@ def test_empirical_mean_bound():
 
 def test_covariance_of_repeated_vector():
     # a factor whose only column is v makes every sample a multiple z_k v of
-    # v, so the covariance is mean |z_k|^2 times v v*
+    # v, so the covariance is c v v* with c = mean |z_k|^2; the entries of v
+    # make every product exact
     v = np.array([1.0 + 1j, -2.0])
     gram = np.outer(v, np.conj(v))
     section = build_section(ExplicitGramKernel(gram), [0, 1])
     factor = np.column_stack([v, np.zeros(2)])
-    ensemble = GaussianEnsemble(section=section, factor=factor, seed=0,
-                                complex_valued=True, factor_residual=0.0)
-    count = 5
-    z = one_shot_draws(ensemble, count)[:, 0]
-    cov = empirical_covariance(ensemble, count)
-    assert np.max(np.abs(cov - np.mean(np.abs(z) ** 2) * gram)) < 1e-15
+    for seed in range(20):
+        for count in (2, 5, 1000):
+            ensemble = GaussianEnsemble(section=section, factor=factor, seed=seed,
+                                        complex_valued=True, factor_residual=0.0)
+            cov = empirical_covariance(ensemble, count)
+            c = cov[1, 1].real / 4.0
+            assert c >= 0.0
+            assert np.array_equal(cov, c * gram)
 
 
 def test_covariance_hermitian_exactly():
@@ -174,35 +181,99 @@ def test_covariance_needs_two_samples():
         empirical_covariance(build_ensemble(section, 1), 1)
 
 
-@COMPLEX_AND_REAL
-@pytest.mark.parametrize("count", [2, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 3 * SAMPLE_BLOCK + 5])
-def test_streamed_covariance_matches_whole_batch(kernel, points, count):
-    ensemble = build_ensemble(build_section(kernel, points), 8)
-    s = sample(ensemble, count).samples
-    whole = s.T @ np.conj(s) / count
-    streamed = empirical_covariance(ensemble, count)
-    assert np.max(np.abs(streamed - whole)) <= 1e-13 * np.max(np.abs(whole))
+@pytest.mark.parametrize("count", [2, 7])
+@pytest.mark.parametrize("complex_valued", [True, False], ids=["complex", "real"])
+def test_second_moment_law(complex_valued, count):
+    # W = sum_k z z* over N draws z ~ N(0, I_3): E W_ii = N, E|W_ij|^2 = N for
+    # i != j, and Var W_ii = 2N for real draws, N for complex ones, at N below
+    # and above the dimension alike; the factor I makes the estimate W / N
+    section = build_section(ExplicitGramKernel(np.eye(3)), [0, 1, 2])
+    ensemble = GaussianEnsemble(section=section, factor=np.eye(3), seed=0,
+                                complex_valued=complex_valued, factor_residual=0.0)
+    seeds = 3000
+    diag, spread, off = [], [], []
+    rows, cols = np.triu_indices(3, 1)
+    for seed in range(seeds):
+        w = count * empirical_covariance(dataclasses.replace(ensemble, seed=seed), count)
+        d = np.real(np.diag(w))
+        diag.append(d.mean())
+        spread.append(np.mean((d - count) ** 2))
+        off.append(np.mean(np.abs(w[rows, cols]) ** 2))
+    variance = count if complex_valued else 2 * count
+    for values, expected in ((diag, count), (spread, variance), (off, count)):
+        error = np.std(values) / np.sqrt(seeds)
+        assert abs(np.mean(values) - expected) < 5.0 * error
+
+
+def ks_statistic(a, b):
+    """Two-sample Kolmogorov-Smirnov distance between empirical distributions."""
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(np.sort(a), grid, side="right") / len(a)
+    fb = np.searchsorted(np.sort(b), grid, side="right") / len(b)
+    return float(np.max(np.abs(fa - fb)))
 
 
 @COMPLEX_AND_REAL
-def test_covariance_reads_one_stream_once(kernel, points, monkeypatch):
-    # a complex ensemble drew its real parts twice, from two generators on the
-    # seed: 3 count n normals
+@pytest.mark.parametrize("count", [2, 7])
+def test_covariance_law_matches_sample_batches(kernel, points, count):
+    # the covariances of N = count draws of sample(), on seeds disjoint from
+    # those of the drawn second moment, must have the same law: KS distance
+    # of the defect and of two off-diagonal entries below the 0.1% critical value
+    section = build_section(kernel, points[:3])
+    ensemble = build_ensemble(section, 0)
+    seeds = 2000
+    drawn, sampled = [], []
+    for seed in range(seeds):
+        cov = empirical_covariance(dataclasses.replace(ensemble, seed=seed), count)
+        x = sample(dataclasses.replace(ensemble, seed=seeds + seed), count).samples
+        for out, c in ((drawn, cov), (sampled, x.T @ np.conj(x) / count)):
+            out.append((covariance_gap(c, section.gram), np.real(c[0, 1]), np.imag(c[0, 2])))
+    critical = np.sqrt(-0.5 * np.log(0.0005)) * np.sqrt(2.0 / seeds)
+    drawn, sampled = np.array(drawn), np.array(sampled)
+    for k in range(drawn.shape[1]):
+        assert ks_statistic(drawn[:, k], sampled[:, k]) < critical
+
+
+class CountingGenerator:
+    """A generator that counts the normals and chi-squares asked of it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.normals = 0
+        self.chisquares = 0
+
+    def standard_normal(self, size=None, *args, **kwargs):
+        self.normals += int(np.prod(size))
+        return self.rng.standard_normal(size, *args, **kwargs)
+
+    def chisquare(self, df, size=None):
+        self.chisquares += int(np.size(df) if size is None else np.prod(size))
+        return self.rng.chisquare(df, size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@COMPLEX_AND_REAL
+def test_covariance_draws_do_not_grow_with_samples(kernel, points, monkeypatch):
+    # one generator per call, and d min(d, N) normals with d = n real parts
+    # (2n complex), however many samples it stands for
     ensemble = build_ensemble(build_section(kernel, points), 5)
+    d = len(points) * (2 if ensemble.complex_valued else 1)
     made = []
     default_rng = np.random.default_rng
 
     def spy(*args, **kwargs):
-        made.append(default_rng(*args, **kwargs))
+        made.append(CountingGenerator(default_rng(*args, **kwargs)))
         return made[-1]
 
     monkeypatch.setattr(np.random, "default_rng", spy)
-    count = 2 * SAMPLE_BLOCK + 3
-    empirical_covariance(ensemble, count)
-    assert len(made) == 1
-    fresh = default_rng(5)
-    fresh.standard_normal((2 if ensemble.complex_valued else 1) * count * len(points))
-    assert made[0].bit_generator.state == fresh.bit_generator.state
+    for count in (2, 1000, 100_000):
+        made.clear()
+        empirical_covariance(ensemble, count)
+        assert len(made) == 1
+        assert made[0].normals == d * min(d, count)
+        assert made[0].chisquares == min(d, count)
 
 
 @pytest.mark.parametrize("kernel, points", [
@@ -229,7 +300,20 @@ def test_complex_gp_process_peak(tmp_path):
     code, max_rss_kb = cli_process_peak("gp", "--kernel", "bargmann", "--points", "grid60",
                                         "--samples", "100000", "--out", str(tmp_path / "gp.json"))
     assert code == 0
-    assert max_rss_kb < 70_000
+    assert max_rss_kb < 44_000
+
+
+@pytest.mark.parametrize("count", [10 ** 12, 10 ** 30])
+def test_gp_any_sample_count_ends_quickly(count):
+    # the drawn second moment costs the same for every count, and the
+    # chi-square degrees of freedom are floats, so 10^30 does not overflow
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-m", "rkboundary", "gp", "--samples", str(count)],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    assert doc["scalars"]["sample_count"] == count
+    assert doc["config"]["samples"] == count
 
 
 # -- covariance defect -------------------------------------------------------
