@@ -86,7 +86,7 @@ from .measures import (
     scale_measure,
 )
 from .reconstruct import (
-    lambda4_frequency_matrix,
+    lambda4_frequency_columns,
     lambda4_set,
     parseval_table,
     shannon_reconstruct,
@@ -160,7 +160,7 @@ __all__ = [
     "covariance_defect",
     # reconstruction
     "lambda4_set",
-    "lambda4_frequency_matrix",
+    "lambda4_frequency_columns",
     "shannon_reconstruct",
     "parseval_table",
     # shared linear algebra

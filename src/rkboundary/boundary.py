@@ -26,7 +26,7 @@ from .kernels import (
     SectionError,
 )
 from .measures import QuadMeasure, pushforward
-from .reconstruct import lambda4_frequency_matrix
+from .reconstruct import MAX_EXACT_LEVEL, lambda4_frequency_columns, lambda4_set
 
 __all__ = [
     "MEMBERSHIP_TOL",
@@ -57,56 +57,59 @@ class BoundaryMatrix:
     kept with the evaluation it is assembled from.
 
     On a node measure ``evaluation`` is the weighted evaluation
-    A[i, k] = K^B(s_i, b_k) sqrt(w_k), so the matrix is conj(A) A^T, and
-    ``frequencies`` is None.  On the exact Cantor measure ``evaluation`` is the
-    power matrix P[i, j] = s_i ** lambda_j over the Lambda4 frequencies and
-    ``frequencies`` the matrix mu_hat(lambda_k - lambda_j).  The matrix is
-    formed on first read, so a caller that reads only the evaluation (the
-    isometry norms) never pays for the product.
+    A[i, k] = K^B(s_i, b_k) sqrt(w_k), so the matrix is conj(A) A^T.  On the
+    exact Cantor measure it is the power matrix P[i, j] = s_i ** lambda_j over
+    the Lambda4 frequencies, and the matrix is P M P^H times the measure's
+    scale, with M the frequency matrix mu_hat(lambda_k - lambda_j).  The
+    matrix is formed on first read, so a caller that reads only the node
+    evaluation (the isometry norms, the projection) never pays for the product.
     """
 
     section: Section
     measure: QuadMeasure
     evaluation: np.ndarray
-    frequencies: np.ndarray | None
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """N_ij = integral of conj(K^B(s_i, b)) K^B(s_j, b) dmu(b), Hermitian.
 
         On a node measure N = conj(A) A^T is formed one block of rows at a
-        time, so only one block of A is ever conjugated; the exact Cantor
-        measure goes through the frequency double sum with the measure's
-        Fourier transform.  Hermitian symmetry is enforced by symmetrized
-        accumulation.
+        time, so only one block of A is ever conjugated.  On the exact Cantor
+        measure P M is formed one block of the frequency matrix's columns at a
+        time, then multiplied by P^H.  Hermitian symmetry is enforced by
+        symmetrized accumulation.
         """
         e = self.evaluation
-        if self.frequencies is None:
+        if self.measure.nodes is None:
+            pm = np.empty(e.shape, dtype=complex)
+            for cols, block in lambda4_frequency_columns(self.section.kernel.level):
+                pm[:, cols] = e @ block
+            n = (pm @ e.conj().T) * self.measure.scale
+        else:
             n = np.empty((e.shape[0], e.shape[0]), dtype=complex)
             for rows in row_blocks(*e.shape):
                 n[rows] = np.conj(e[rows]) @ e.T
-        else:
-            n = (e @ self.frequencies @ e.conj().T) * self.measure.scale
         return 0.5 * (n + n.conj().T)
 
     def transform_norm_sq(self, coeffs: np.ndarray) -> np.ndarray:
         """Squared L2 norms of the boundary transforms b -> sum_j c_j K^B(s_j, b)
         of each row c of a ``(trials, n)`` coefficient stack.
 
-        Direct quadrature sum |c A|^2 on node measures; the quadratic form of
-        the frequency matrix in the amplitudes c conj(P) on the exact one.
-        The rows are reduced one block of at most ``BLOCK_BYTES`` at a time.
+        Direct quadrature sum |c A|^2 on node measures, its rows reduced one
+        block of at most ``BLOCK_BYTES`` at a time; the quadratic form of the
+        matrix on the exact Cantor measure.
         """
+        if self.measure.nodes is None:
+            return _quadratic_form(coeffs, self.matrix)
         out = np.empty(coeffs.shape[0])
-        if self.frequencies is None:
-            for rows in row_blocks(coeffs.shape[0], self.evaluation.shape[1]):
-                out[rows] = np.sum(np.abs(coeffs[rows] @ self.evaluation) ** 2, axis=-1)
-            return out
-        power = np.conj(self.evaluation)
-        for rows in row_blocks(coeffs.shape[0], power.shape[1]):
-            amp = coeffs[rows] @ power
-            out[rows] = np.real(np.sum(np.conj(amp) * (amp @ self.frequencies.T), axis=-1))
-        return out * self.measure.scale
+        for rows in row_blocks(coeffs.shape[0], self.evaluation.shape[1]):
+            out[rows] = np.sum(np.abs(coeffs[rows] @ self.evaluation) ** 2, axis=-1)
+        return out
+
+
+def _quadratic_form(coeffs: np.ndarray, form: np.ndarray) -> np.ndarray:
+    """c^H Q c for each row c of a coefficient stack."""
+    return np.real(np.sum(np.conj(coeffs) * (coeffs @ form.T), axis=-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,23 +140,25 @@ def boundary_gram(ext: BoundaryExtension, measure: QuadMeasure, section: Section
 
     On a node measure the weighted evaluation A = E sqrt(w) is filled in
     place one block of rows at a time, so neither E nor a second full-size
-    copy of A is ever held.  The node-free exact Cantor measure is evaluated
-    through the frequency double sum with the measure's Fourier transform
+    copy of A is ever held.  On the node-free exact Cantor measure the
+    evaluation is the power matrix of the section over the Lambda4
+    frequencies; the matrix pairs it with the measure's Fourier transform
     instead of quadrature.
     """
     _check_pair(ext, section)
     points = section.points
     if measure.nodes is None:
-        if not isinstance(ext.kernel, Cantor4Kernel):
-            raise ValueError("the exact Cantor measure pairs only with the truncated Cantor kernel")
-        lam, frequencies = lambda4_frequency_matrix(ext.kernel.level)
-        return BoundaryMatrix(section, measure, points[:, None] ** lam[None, :], frequencies)
+        if not isinstance(ext.kernel, Cantor4Kernel) or ext.kernel.level > MAX_EXACT_LEVEL:
+            raise ValueError("the exact Cantor measure pairs only with the truncated Cantor "
+                             f"kernel at level at most {MAX_EXACT_LEVEL}")
+        lam = lambda4_set(ext.kernel.level)
+        return BoundaryMatrix(section, measure, points[:, None] ** lam[None, :])
     nodes = measure.nodes
     root = np.sqrt(measure.weights)
     a = np.empty((points.shape[0], nodes.shape[0]), dtype=complex)
     for rows in row_blocks(*a.shape):
         np.multiply(ext(points[rows, None], nodes[None, :]), root, out=a[rows])
-    return BoundaryMatrix(section, measure, a, None)
+    return BoundaryMatrix(section, measure, a)
 
 
 def membership_defect(
@@ -217,9 +222,7 @@ def isometry_norms(bmat: BoundaryMatrix, coeffs: np.ndarray) -> tuple[np.ndarray
     ``bmat.transform_norm_sq``.  A member pair gives equal norms.
     """
     c = np.asarray(coeffs, dtype=complex)
-    form = np.conj(bmat.section.gram)
-    native = np.real(np.sum(np.conj(c) * (c @ form.T), axis=-1))
-    return native, bmat.transform_norm_sq(c)
+    return _quadratic_form(c, np.conj(bmat.section.gram)), bmat.transform_norm_sq(c)
 
 
 def isometry_defect(f: RkhsElement, ext: BoundaryExtension, measure: QuadMeasure) -> float:

@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from ._linalg import row_blocks
 from .boundary import (
     adjoint_apply,
     boundary_gram,
@@ -61,7 +60,7 @@ from .reconstruct import (
     MAX_EXACT_LEVEL,
     MAX_LAMBDA_LEVEL,
     MAX_PARSEVAL_LEVEL,
-    _frequency_table,
+    lambda4_orthonormality_gaps,
     parseval_table,
     shannon_reconstruct,
 )
@@ -76,6 +75,10 @@ _GOLDEN = 0.6180339887498949
 # --scale above this is a usage error: the boundary matrices of edge sections
 # stay finite at 1e200, and those of the default sections overflow at 1e308
 MAX_SCALE = 1e200
+# isometry --samples above this is a usage error: the report holds one row per
+# trial, and 10**4 trials on a 200-point bargmann section take about 2 s and
+# 200 MB of process memory
+MAX_ISOMETRY_SAMPLES = 10_000
 
 # Settings that depend on the kernel resolve only when the run builds its
 # objects, so they stay out of the config echo.
@@ -364,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("isometry", "native-vs-boundary norm agreement on random elements",
                 tol=1e-8, seed=True)
-    p.add_argument("--samples", type=_int_range(1), default=100,
+    p.add_argument("--samples", type=_int_range(1, MAX_ISOMETRY_SAMPLES), default=100,
                    help="number of random coefficient vectors (default %(default)s)")
 
     command("carleson", "largest boundary-to-native norm ratio on the section", tol=1e-8)
@@ -802,19 +805,7 @@ def _run_shannon(cfg: RunConfig) -> Report:
 
 
 def _run_cantor_onb(cfg: RunConfig) -> Report:
-    # the frequency matrix M is gathered from its 3**level distinct entries one
-    # block of rows at a time; the gaps are |M - I| on and off the diagonal
-    lam, code, transform = _frequency_table(cfg.level)
-    size = lam.shape[0]
-    row_max = np.empty(size)
-    max_diag = 0.0
-    for rows in row_blocks(size, size):
-        block = transform[code[None, :] + transform.shape[0] // 2 - code[rows, None]]
-        local, diag = np.arange(rows.stop - rows.start), np.arange(rows.start, rows.stop)
-        max_diag = max(max_diag, float(np.max(np.abs(block[local, diag] - 1.0))))
-        off = np.abs(block)
-        off[local, diag] = 0.0
-        row_max[rows] = np.max(off, axis=1)
+    lam, max_diag, row_max = lambda4_orthonormality_gaps(cfg.level)
     max_off = float(np.max(row_max))
     mu_hat_one = float(np.abs(cantor4_fourier(1.0)))
     table = parseval_table(cfg.freq, cfg.parseval_max, min_level=2)

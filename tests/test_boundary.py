@@ -30,6 +30,7 @@ from rkboundary import (
     boundary_gram,
     boundary_transform,
     build_section,
+    cantor4_fourier,
     cantor_exact,
     cantor_ifs,
     carleson_constant,
@@ -40,6 +41,7 @@ from rkboundary import (
     h_norm_sq,
     isometry_defect,
     isometry_norms,
+    lambda4_set,
     membership_defect,
     morphism_check,
     onto_residual,
@@ -92,6 +94,48 @@ def test_boundary_gram_cantor_exact():
     section = build_section(kernel, spiral_points(5, 0.3, 0.88))
     nmat = boundary_gram(kernel.boundary_extension(), cantor_exact(), section).matrix
     assert np.max(np.abs(nmat - np.conj(section.gram))) < 1e-10
+
+
+@pytest.mark.parametrize("kernel", [SzegoKernel(), Cantor4Kernel(level=13)],
+                         ids=["szego", "level13"])
+def test_exact_cantor_measure_refuses_other_kernels(kernel):
+    # refused before the power matrix over the 2**level frequencies is made
+    section = build_section(kernel, [0.1, 0.2j])
+    with pytest.raises(ValueError, match="truncated Cantor kernel at level at most 12"):
+        boundary_gram(kernel.boundary_extension(), cantor_exact(), section)
+
+
+@pytest.mark.parametrize("level", range(1, 12))
+def test_exact_cantor_gram_matches_one_shot(level):
+    # N = (P M) P^H scale, with P M formed one column block of M at a time
+    # (16 blocks at level 11), keeps every bit of the one-shot product
+    kernel = Cantor4Kernel(level=level)
+    mu = scale_measure(cantor_exact(), 3.0)
+    lam = lambda4_set(level)
+    m = cantor4_fourier((lam[None, :] - lam[:, None]).astype(float))
+    for n in (1, 2, 8):
+        section = build_section(kernel, spiral_points(n, 0.3, 0.85))
+        p = section.points[:, None] ** lam[None, :]
+        one_shot = (p @ m @ p.conj().T) * 3.0
+        nmat = boundary_gram(kernel.boundary_extension(), mu, section).matrix
+        assert np.array_equal(nmat, 0.5 * (one_shot + one_shot.conj().T)), n
+
+
+@pytest.mark.parametrize("level", range(1, 7))
+def test_exact_cantor_gram_matches_level_atoms(level):
+    # the 2**L atoms of cantor_ifs(L) integrate each product of two level-L
+    # power sums exactly, an independent route to N; cantor_ifs(L - 1) misses
+    # the frequency differences +-4**(L - 1), which shows the check can fail
+    kernel = Cantor4Kernel(level=level)
+    ext = kernel.boundary_extension()
+    section = build_section(kernel, spiral_points(8, 0.3, 0.99))
+    exact = boundary_gram(ext, cantor_exact(), section).matrix
+    scale = np.max(np.abs(exact))
+    atoms = boundary_gram(ext, cantor_ifs(level), section).matrix
+    assert np.max(np.abs(atoms - exact)) <= 1e-13 * scale
+    if level > 1:
+        coarse = boundary_gram(ext, cantor_ifs(level - 1), section).matrix
+        assert np.max(np.abs(coarse - exact)) > 1e-5 * scale
 
 
 def test_boundary_gram_is_hermitian(rng):
@@ -198,12 +242,10 @@ def test_blocked_transform_norms_match_one_shot(kernel, mu, rng):
     full = block_rows(bmat.evaluation.shape[1])
     for count in (1, 2, full - 1, full, full + 1, 2 * full + 1):
         c = rng.standard_normal((count, 6)) + 1j * rng.standard_normal((count, 6))
-        if bmat.frequencies is None:
-            one_shot = np.sum(np.abs(c @ bmat.evaluation) ** 2, axis=-1)
+        if mu.nodes is None:  # the quadratic form of N
+            one_shot = np.real(np.sum(np.conj(c) * (c @ bmat.matrix.T), axis=-1))
         else:
-            amp = c @ np.conj(bmat.evaluation)
-            form = np.sum(np.conj(amp) * (amp @ bmat.frequencies.T), axis=-1)
-            one_shot = np.real(form) * mu.scale
+            one_shot = np.sum(np.abs(c @ bmat.evaluation) ** 2, axis=-1)
         assert np.array_equal(bmat.transform_norm_sq(c), one_shot), count
 
 
@@ -254,8 +296,8 @@ def test_isometry_forms_no_boundary_matrix(monkeypatch, tmp_path):
     monkeypatch.setattr(rkboundary.boundary.BoundaryMatrix, "matrix",
                         property(lambda bmat: reads.append(bmat) or formed.func(bmat)))
     out = str(tmp_path / "r.json")
+    # on the exact Cantor measure the isometry norms are the quadratic form of N
     for argv in (["isometry", "--kernel", "bargmann", "--points", "grid30"],
-                 ["isometry", "--kernel", "cantor4", "--measure", "cantor-exact"],
                  ["project", "--kernel", "szego", "--points", "grid30"]):
         assert cli.main([*argv, "--out", out]) == 0
     assert reads == []
@@ -276,6 +318,20 @@ def test_bargmann_isometry_process_peak(argv, limit_kb, tmp_path):
                                         "--out", str(tmp_path / "isometry.json"))
     assert code == 0
     assert max_rss_kb < limit_kb
+
+
+@pytest.mark.parametrize("argv", [
+    ("factorize",),
+    ("isometry", "--samples", "100"),
+], ids=["factorize", "isometry"])
+def test_exact_cantor_level12_process_peak(argv, tmp_path):
+    # the level-12 frequency matrix has 4**12 complex entries (268 MB); held
+    # whole it took factorize to about 437 MB and isometry to about 443 MB
+    code, max_rss_kb = cli_process_peak(
+        *argv, "--kernel", "cantor4", "--measure", "cantor-exact", "--level", "12",
+        "--out", str(tmp_path / "report.json"))
+    assert code == 0
+    assert max_rss_kb < 120_000
 
 
 # -- boundary transform -----------------------------------------------------

@@ -17,6 +17,7 @@ from rkboundary.cli import (
     EXIT_PASS,
     EXIT_USAGE,
     EXIT_VERDICT_FAIL,
+    MAX_ISOMETRY_SAMPLES,
     MAX_SCALE,
     builtin_grid,
     emit,
@@ -247,6 +248,26 @@ def test_scale_bound(command, capsys):
     # warnings are errors in this suite, so an overflow at the bound would exit 3
     assert main([command, "--scale", repr(MAX_SCALE)]) in (EXIT_PASS, EXIT_VERDICT_FAIL)
     assert json.loads(capsys.readouterr().out)["config"]["scale"] == MAX_SCALE == 1e200
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_isometry_samples_bound(via, tmp_path, capsys):
+    # 10**12 trials exited 3 with a MemoryError
+    def argv(count):
+        if via == "flag":
+            return ["isometry", "--samples", str(count)]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"samples": count}))
+        return ["isometry", "--config", str(path)]
+
+    for count in (MAX_ISOMETRY_SAMPLES + 1, 10 ** 12):
+        assert main(argv(count)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: --samples must be in 1..10000, got {count}\n"
+    assert main(argv(MAX_ISOMETRY_SAMPLES)) == EXIT_PASS
+    rows = json.loads(capsys.readouterr().out)["tables"]["isometry_trials"]["rows"]
+    assert len(rows) == MAX_ISOMETRY_SAMPLES == 10_000
 
 
 def _atomic_file(tmp_path, weights):

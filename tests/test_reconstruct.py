@@ -12,7 +12,13 @@ from conftest import block_rows, cli_process_peak
 
 from rkboundary.cli import parse_config, run
 from rkboundary.measures import cantor4_fourier
-from rkboundary.reconstruct import MAX_EXACT_LEVEL, lambda4_frequency_matrix
+from rkboundary.reconstruct import MAX_EXACT_LEVEL, lambda4_frequency_columns
+
+
+def _every_difference(level):
+    """The frequency matrix evaluated entry by entry, all 4**level at once."""
+    lam = lambda4_set(level)
+    return lam, cantor4_fourier((lam[None, :] - lam[:, None]).astype(float))
 
 
 # -- frequency set ------------------------------------------------------------
@@ -39,17 +45,19 @@ def test_lambda4_level_guard():
 
 
 def test_frequency_matrix_level_guard():
-    # 4**13 complex entries would need over a gigabyte; refused up front
+    # 3**13 table entries and 4**13 gathered ones are refused before the first block
     with pytest.raises(ValueError, match="at most 12"):
-        lambda4_frequency_matrix(MAX_EXACT_LEVEL + 1)
+        next(lambda4_frequency_columns(MAX_EXACT_LEVEL + 1))
 
 
 @pytest.mark.parametrize("level", range(1, 10))
 def test_frequency_matrix_equals_transform_of_every_difference(level):
-    # the table of distinct differences must reproduce the full evaluation bit for bit
-    lam, inner = lambda4_frequency_matrix(level)
-    assert np.array_equal(lam, lambda4_set(level))
-    assert np.array_equal(inner, cantor4_fourier((lam[None, :] - lam[:, None]).astype(float)))
+    # the column blocks tile M in order and reproduce the full evaluation bit for bit
+    _, inner = _every_difference(level)
+    blocks = list(lambda4_frequency_columns(level))
+    assert [c for cols, _ in blocks for c in range(cols.start, cols.stop)] == list(
+        range(2 ** level))
+    assert np.array_equal(np.concatenate([b for _, b in blocks], axis=1), inner)
 
 
 def test_lambda4_digit_recursion():
@@ -112,8 +120,8 @@ def test_shannon_process_peak(tmp_path):
 
 @pytest.mark.parametrize("level", [1, 6, 9, 10])
 def test_blocked_cantor_onb_gaps_match_full_matrix(level):
-    # levels 9 and 10 gather the frequency matrix in 4 and 16 row blocks
-    lam, inner = lambda4_frequency_matrix(level)
+    # levels 9 and 10 gather the frequency matrix in 4 and 16 column blocks
+    lam, inner = _every_difference(level)
     off = np.abs(inner - np.eye(lam.shape[0]))
     max_diag = np.max(np.diag(off))
     np.fill_diagonal(off, 0.0)
