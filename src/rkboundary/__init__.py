@@ -28,7 +28,6 @@ from .boundary import (
     adjoint_apply,
     boundary_gram,
     boundary_transform,
-    carleson_constant,
     commuting_diagram_defect,
     isometry_defect,
     isometry_norms,
@@ -41,7 +40,6 @@ from .gaussian import (
     GaussianEnsemble,
     SampleBatch,
     build_ensemble,
-    covariance_defect,
     covariance_gap,
     empirical_covariance,
     sample,
@@ -146,7 +144,6 @@ __all__ = [
     "boundary_transform",
     "adjoint_apply",
     "pencil_eigenvalues",
-    "carleson_constant",
     "onto_residual",
     "morphism_check",
     "commuting_diagram_defect",
@@ -157,7 +154,6 @@ __all__ = [
     "sample",
     "empirical_covariance",
     "covariance_gap",
-    "covariance_defect",
     # reconstruction
     "lambda4_set",
     "lambda4_frequency_columns",

@@ -42,7 +42,6 @@ __all__ = [
     "boundary_transform",
     "adjoint_apply",
     "pencil_eigenvalues",
-    "carleson_constant",
     "onto_residual",
     "morphism_check",
     "commuting_diagram_defect",
@@ -118,7 +117,9 @@ class MembershipReport:
 
     ``deviation`` holds the entrywise |N - conj(G)| and ``eigenvalues`` the
     ascending pencil spectrum whose maximum is the estimate; both are empty,
-    and the scalars zero, for an empty section.
+    and the scalars zero, for an empty section.  The estimate is the exact
+    supremum of the boundary-to-native norm ratio over the section's span,
+    hence a lower bound of the least Carleson constant of the measure.
     """
 
     defect: float
@@ -286,16 +287,6 @@ def pencil_eigenvalues(nmat: np.ndarray, norm_matrix: np.ndarray) -> np.ndarray:
     half = np.linalg.solve(low, nmat[np.ix_(pivots, pivots)])
     reduced = np.linalg.solve(low, half.conj().T)
     return np.linalg.eigvalsh(0.5 * (reduced + reduced.conj().T))
-
-
-def carleson_constant(ext: BoundaryExtension, measure: QuadMeasure, section: Section) -> float:
-    """Largest generalized eigenvalue of the (boundary matrix, norm form) pencil.
-
-    The exact supremum of the boundary-to-native norm ratio over the section's
-    span, hence a finite-section *estimate* (a lower bound) of the least
-    Carleson constant of the measure; zero for an empty section.
-    """
-    return membership_defect(ext, measure, section).carleson_constant
 
 
 @dataclass(frozen=True, eq=False)

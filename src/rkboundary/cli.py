@@ -602,20 +602,19 @@ def _domain_probes(kernel, rng: np.random.Generator, count: int) -> np.ndarray:
 # runners
 # ---------------------------------------------------------------------------
 
-def _echo(cfg: RunConfig) -> dict:
-    # the output path is delivery metadata, not part of the computation; keeping
-    # it out of the echo keeps reports byte-identical wherever they are written
-    return {k: v for k, v in asdict(cfg).items() if v is not None and k != "out"}
+def _table(columns: list, *values) -> dict:
+    """A table with one row per item, from one array (or list) per column.
 
-
-def _spectrum_table(eigenvalues) -> dict:
-    return {
-        "columns": ["index", "eigenvalue"],
-        "rows": [[i, float(w)] for i, w in enumerate(eigenvalues)],
-    }
+    Each column is converted with ``.tolist()``, so every cell is a Python
+    int or float, and columns of unequal length raise ValueError.
+    """
+    cols = [np.asarray(v).tolist() for v in values]
+    return {"columns": columns, "rows": [list(row) for row in zip(*cols, strict=True)]}
 
 
 def _entry_table(matrix: np.ndarray, column: str) -> dict:
+    # row-wise from matrix.tolist(): n**2 rows through per-column lists would
+    # hold three more n**2 lists at once
     return {
         "columns": ["i", "j", column],
         "rows": [[i, j, value]
@@ -630,43 +629,46 @@ def _boundary_setup(cfg: RunConfig):
     return section, make_measure(cfg), kernel.boundary_extension()
 
 
-def _run_pd_check(cfg: RunConfig) -> Report:
+def _run_pd_check(cfg: RunConfig, report: Report) -> None:
     kernel = make_kernel(cfg)
     points = np.atleast_1d(kernel.validate_points(make_points(cfg, kernel)))
-    gram = kernel.gram(points)
-    verdict = pd_check(gram, cfg.tol)
-    report = Report(command=cfg.command, config=_echo(cfg))
+    verdict = pd_check(kernel.gram(points), cfg.tol)
     report.scalars = {
         "min_eigenvalue": verdict.min_eigenvalue,
         "threshold": verdict.threshold,
         "points": int(points.shape[0]),
     }
-    report.tables["eigenvalues"] = _spectrum_table(verdict.eigenvalues)
-    report.add_verdict(
-        "positive-semidefinite",
-        verdict.min_eigenvalue,
-        cfg.tol,
-        verdict.passed,
-    )
-    return report
+    values = verdict.eigenvalues
+    report.tables["eigenvalues"] = _table(["index", "eigenvalue"], np.arange(len(values)), values)
+    report.add_verdict("positive-semidefinite", verdict.min_eigenvalue, cfg.tol, verdict.passed)
 
 
-def _run_factorize(cfg: RunConfig) -> Report:
+def _membership(cfg: RunConfig, report: Report):
+    """The section's membership defect; fills the Carleson scalars and pencil table."""
     section, measure, ext = _boundary_setup(cfg)
+    # an empty section spans nothing, so its estimate 0 fails the unit verdict
     member = membership_defect(ext, measure, section, tol=cfg.tol)
-    report = Report(command=cfg.command, config=_echo(cfg))
-    report.scalars = {
-        "membership_defect": member.defect,
-        "carleson_constant_estimate": member.carleson_constant,
-        "total_mass": measure.total_mass,
-    }
+    report.scalars["carleson_constant_estimate"] = member.carleson_constant
+    report.scalars["total_mass"] = measure.total_mass
+    values = member.eigenvalues
+    report.tables["pencil_eigenvalues"] = _table(
+        ["index", "eigenvalue"], np.arange(len(values)), values)
+    return member
+
+
+def _run_factorize(cfg: RunConfig, report: Report) -> None:
+    member = _membership(cfg, report)
+    report.scalars["membership_defect"] = member.defect
     report.tables["factorization_deviation"] = _entry_table(member.deviation, "abs_deviation")
-    report.tables["pencil_eigenvalues"] = _spectrum_table(member.eigenvalues)
     report.add_verdict("membership", member.defect, cfg.tol, member.passed)
-    return report
 
 
-def _run_isometry(cfg: RunConfig) -> Report:
+def _run_carleson(cfg: RunConfig, report: Report) -> None:
+    gap = abs(_membership(cfg, report).carleson_constant - 1.0)
+    report.add_verdict("unit-carleson-constant", gap, cfg.tol, gap <= cfg.tol)
+
+
+def _run_isometry(cfg: RunConfig, report: Report) -> None:
     section, measure, ext = _boundary_setup(cfg)
     parts = np.random.default_rng(cfg.seed).standard_normal((cfg.samples, 2, section.size))
     coeffs = parts[:, 0] + 1j * parts[:, 1]
@@ -674,33 +676,14 @@ def _run_isometry(cfg: RunConfig) -> Report:
     defect = np.abs(norm_sq - transformed)
     normalized = defect / (1.0 + norm_sq)
     worst = float(np.max(normalized))
-    report = Report(command=cfg.command, config=_echo(cfg))
     report.scalars = {"max_normalized_defect": worst}
-    report.tables["isometry_trials"] = {
-        "columns": ["trial", "norm_sq", "defect", "normalized_defect"],
-        "rows": [[trial, float(a), float(d), float(x)]
-                 for trial, (a, d, x) in enumerate(zip(norm_sq, defect, normalized))],
-    }
+    report.tables["isometry_trials"] = _table(
+        ["trial", "norm_sq", "defect", "normalized_defect"],
+        np.arange(cfg.samples), norm_sq, defect, normalized)
     report.add_verdict("isometry", worst, cfg.tol, worst < cfg.tol)
-    return report
 
 
-def _run_carleson(cfg: RunConfig) -> Report:
-    section, measure, ext = _boundary_setup(cfg)
-    # an empty section spans nothing, so its estimate 0 fails the unit verdict
-    member = membership_defect(ext, measure, section, tol=cfg.tol)
-    gap = abs(member.carleson_constant - 1.0)
-    report = Report(command=cfg.command, config=_echo(cfg))
-    report.scalars = {
-        "carleson_constant_estimate": member.carleson_constant,
-        "total_mass": measure.total_mass,
-    }
-    report.tables["pencil_eigenvalues"] = _spectrum_table(member.eigenvalues)
-    report.add_verdict("unit-carleson-constant", gap, cfg.tol, gap <= cfg.tol)
-    return report
-
-
-def _run_adjoint_roundtrip(cfg: RunConfig) -> Report:
+def _run_adjoint_roundtrip(cfg: RunConfig, report: Report) -> None:
     section, measure, ext = _boundary_setup(cfg)
     if measure.nodes is None:
         raise UsageError("the round-trip samples boundary values at quadrature nodes; "
@@ -710,58 +693,43 @@ def _run_adjoint_roundtrip(cfg: RunConfig) -> Report:
     samples = boundary_transform(f, ext)(measure.nodes)
     probes = _domain_probes(section.kernel, rng, cfg.probes)
     roundtrip = adjoint_apply(samples, ext, measure, probes)
-    direct = evaluate_element(f, probes)
-    errors = np.abs(roundtrip - direct)
+    errors = np.abs(roundtrip - evaluate_element(f, probes))
     worst = float(np.max(errors))
-    report = Report(command=cfg.command, config=_echo(cfg))
     report.scalars = {"max_roundtrip_error": worst}
-    report.tables["probe_errors"] = {
-        "columns": ["probe_re", "probe_im", "abs_error"],
-        "rows": [
-            [float(np.real(p)), float(np.imag(p)), float(e)]
-            for p, e in zip(np.atleast_1d(probes), errors)
-        ],
-    }
+    report.tables["probe_errors"] = _table(
+        ["probe_re", "probe_im", "abs_error"], np.real(probes), np.imag(probes), errors)
     report.add_verdict("adjoint-roundtrip", worst, cfg.tol, worst < cfg.tol)
-    return report
 
 
-def _run_project(cfg: RunConfig) -> Report:
+def _run_project(cfg: RunConfig, report: Report) -> None:
     section, measure, ext = _boundary_setup(cfg)
     if measure.nodes is None or np.iscomplexobj(measure.nodes):
         raise UsageError("frequency targets need a node-based real boundary "
                          "(circle, band, or Cantor atoms)")
     target = np.exp(2j * np.pi * cfg.freq * measure.nodes)
     result = onto_residual(target, ext, measure, section)
-    report = Report(command=cfg.command, config=_echo(cfg))
     report.scalars = {
         "residual": result.residual,
         "target_norm": result.target_norm,
         "rank": result.rank,
     }
-    report.tables["projection_coefficients"] = {
-        "columns": ["index", "re", "im"],
-        "rows": [
-            [i, float(np.real(c)), float(np.imag(c))]
-            for i, c in enumerate(result.coeffs)
-        ],
-    }
+    coeffs = result.coeffs
+    report.tables["projection_coefficients"] = _table(
+        ["index", "re", "im"], np.arange(len(coeffs)), np.real(coeffs), np.imag(coeffs))
     report.add_verdict(
         "residual-bounded-by-target",
         result.residual - result.target_norm,
         cfg.tol,
         result.residual <= result.target_norm + cfg.tol,
     )
-    return report
 
 
-def _run_gp(cfg: RunConfig) -> Report:
+def _run_gp(cfg: RunConfig, report: Report) -> None:
     kernel = make_kernel(cfg)
     section = build_section(kernel, make_points(cfg, kernel))
     ensemble = build_ensemble(section, cfg.seed)
     cov = empirical_covariance(ensemble, cfg.samples)
     defect = covariance_gap(cov, section.gram)
-    report = Report(command=cfg.command, config=_echo(cfg))
     report.scalars = {
         "covariance_defect": defect,
         "factor_residual": ensemble.factor_residual,
@@ -769,10 +737,9 @@ def _run_gp(cfg: RunConfig) -> Report:
     }
     report.tables["entry_errors"] = _entry_table(np.abs(cov - section.gram), "abs_error")
     report.add_verdict("covariance", defect, cfg.tol, defect < cfg.tol)
-    return report
 
 
-def _run_shannon(cfg: RunConfig) -> Report:
+def _run_shannon(cfg: RunConfig, report: Report) -> None:
     try:
         start, stop, step = (float(x) for x in cfg.grid.split(":"))
     except ValueError:
@@ -784,8 +751,7 @@ def _run_shannon(cfg: RunConfig) -> Report:
         raise UsageError(f"grid {cfg.grid!r} is empty: stop lies below start")
     samples = {n: float(np.sinc(n - cfg.shift)) for n in range(-cfg.support, cfg.support + 1)}
     reconstructed = shannon_reconstruct(samples, grid)
-    exact = np.sinc(grid - cfg.shift)
-    errors = np.abs(reconstructed - exact)
+    errors = np.abs(reconstructed - np.sinc(grid - cfg.shift))
     worst = float(np.max(errors))
     # the series returns the stored sample exactly at integers of the support
     stored_mask = (grid == np.rint(grid)) & (np.abs(grid) <= cfg.support)
@@ -793,47 +759,32 @@ def _run_shannon(cfg: RunConfig) -> Report:
     if np.any(stored_mask):
         stored = np.asarray([samples[int(t)] for t in grid[stored_mask]])
         integer_gap = float(np.max(np.abs(reconstructed[stored_mask] - stored)))
-    report = Report(command=cfg.command, config=_echo(cfg))
     report.scalars = {"max_error": worst, "max_integer_gap": integer_gap}
-    report.tables["grid_errors"] = {
-        "columns": ["t", "abs_error"],
-        "rows": [[float(t), float(e)] for t, e in zip(grid, errors)],
-    }
+    report.tables["grid_errors"] = _table(["t", "abs_error"], grid, errors)
     report.add_verdict("reconstruction", worst, cfg.tol, worst < cfg.tol)
     report.add_verdict("exact-at-integers", integer_gap, 1e-15, integer_gap == 0.0)
-    return report
 
 
-def _run_cantor_onb(cfg: RunConfig) -> Report:
+def _run_cantor_onb(cfg: RunConfig, report: Report) -> None:
     lam, max_diag, row_max = lambda4_orthonormality_gaps(cfg.level)
     max_off = float(np.max(row_max))
     mu_hat_one = float(np.abs(cantor4_fourier(1.0)))
-    table = parseval_table(cfg.freq, cfg.parseval_max, min_level=2)
-    defects = [d for _, d in table]
+    levels, defects = zip(*parseval_table(cfg.freq, cfg.parseval_max, min_level=2))
     max_increase = max(
         (defects[i + 1] - defects[i] for i in range(len(defects) - 1)), default=0.0
     )
-    report = Report(command=cfg.command, config=_echo(cfg))
     report.scalars = {
         "max_offdiagonal": max_off,
         "max_diagonal_gap": max_diag,
         "mu_hat_at_one": mu_hat_one,
         "frequencies": int(lam.shape[0]),
     }
-    report.tables["row_max_offdiagonal"] = {
-        "columns": ["lambda", "max_offdiagonal"],
-        "rows": [[int(f), float(m)] for f, m in zip(lam, row_max)],
-    }
-    report.tables["parseval_defects"] = {
-        "columns": ["level", "defect"],
-        "rows": [[int(lev), float(d)] for lev, d in table],
-    }
+    report.tables["row_max_offdiagonal"] = _table(["lambda", "max_offdiagonal"], lam, row_max)
+    report.tables["parseval_defects"] = _table(["level", "defect"], levels, defects)
     report.add_verdict("orthogonality", max_off, cfg.tol, max_off < cfg.tol)
     report.add_verdict("unit-norms", max_diag, cfg.tol, max_diag < cfg.tol)
     report.add_verdict("transform-zero-at-one", mu_hat_one, 1e-14, mu_hat_one < 1e-14)
-    report.add_verdict(
-        "parseval-monotone", max(max_increase, 0.0), 1e-15, max_increase <= 0.0
-    )
+    report.add_verdict("parseval-monotone", max(max_increase, 0.0), 1e-15, max_increase <= 0.0)
     report.add_verdict(
         "parseval-bounded",
         max(max((abs(min(d, 0.0)) for d in defects), default=0.0),
@@ -841,7 +792,6 @@ def _run_cantor_onb(cfg: RunConfig) -> Report:
         1e-10,
         all(-1e-10 <= d <= 1.0 for d in defects),
     )
-    return report
 
 
 def morphism_demo():
@@ -865,23 +815,19 @@ def morphism_demo():
     return kernel, ext_coarse, ext_fine, mu_coarse, mu_fine, atom_map, section, f
 
 
-def _run_morphism(cfg: RunConfig) -> Report:
+def _run_morphism(cfg: RunConfig, report: Report) -> None:
     _, ext_coarse, ext_fine, mu_coarse, mu_fine, atom_map, section, f = morphism_demo()
     check = morphism_check(mu_coarse, mu_fine, atom_map, tol=cfg.tol)
     coarse_member = membership_defect(ext_coarse, mu_coarse, section, tol=cfg.tol)
     fine_member = membership_defect(ext_fine, mu_fine, section, tol=cfg.tol)
     diagram = commuting_diagram_defect(ext_coarse, ext_fine, mu_coarse, mu_fine, atom_map, f)
     image = pushforward(mu_fine, atom_map)
-    report = Report(command=cfg.command, config=_echo(cfg))
     report.scalars = {
         "pushforward_mass_error": check.max_mass_error,
         "transform_defect": diagram.transform_defect,
         "pullback_isometry_defect": diagram.pullback_isometry_defect,
     }
-    report.tables["pushforward_masses"] = {
-        "columns": ["atom", "mass"],
-        "rows": [[int(a), float(w)] for a, w in zip(image.nodes, image.weights)],
-    }
+    report.tables["pushforward_masses"] = _table(["atom", "mass"], image.nodes, image.weights)
     report.add_verdict("pushforward", check.max_mass_error, cfg.tol, check.passed)
     report.add_verdict("coarse-membership", coarse_member.defect, cfg.tol, coarse_member.passed)
     report.add_verdict("fine-membership", fine_member.defect, cfg.tol, fine_member.passed)
@@ -893,7 +839,6 @@ def _run_morphism(cfg: RunConfig) -> Report:
         "pullback-isometry", diagram.pullback_isometry_defect, cfg.tol,
         diagram.pullback_isometry_defect < cfg.tol,
     )
-    return report
 
 
 _RUNNERS = {
@@ -913,7 +858,11 @@ _RUNNERS = {
 def run(config: RunConfig) -> Report:
     """Execute one command; deterministic given the config (seed included)."""
     started = time.perf_counter()
-    report = _RUNNERS[config.command](config)
+    # the output path is delivery metadata, not part of the computation; keeping
+    # it out of the echo keeps reports byte-identical wherever they are written
+    echo = {k: v for k, v in asdict(config).items() if v is not None and k != "out"}
+    report = Report(command=config.command, config=echo)
+    _RUNNERS[config.command](config, report)
     report.duration_ms = (time.perf_counter() - started) * 1000.0
     return report
 

@@ -28,7 +28,6 @@ __all__ = [
     "sample",
     "empirical_covariance",
     "covariance_gap",
-    "covariance_defect",
 ]
 
 FACTOR_TOL = 1e-10
@@ -146,12 +145,3 @@ def covariance_gap(cov: np.ndarray, gram: np.ndarray) -> float:
         return 0.0
     return float(np.linalg.norm(cov - gram) / gnorm)
 
-
-def covariance_defect(ensemble: GaussianEnsemble, count: int) -> float:
-    """:func:`covariance_gap` of the empirical covariance of ``count`` samples.
-
-    Its second moment is Wishart W_d(count, I) drawn through a Bartlett factor,
-    so the gap has its law over ``count`` fresh samples and decays at the
-    Monte-Carlo rate count^{-1/2}.
-    """
-    return covariance_gap(empirical_covariance(ensemble, count), ensemble.section.gram)

@@ -155,14 +155,22 @@ def cantor4_fourier(t):
     """
     tt = np.asarray(t, dtype=float)
     scalar = tt.ndim == 0
-    s = np.atleast_1d(tt).astype(float).copy()
+    s = np.atleast_1d(tt).astype(float)
     if not np.all(np.isfinite(s)):
         raise ValueError("frequencies must be finite")
-    out = np.ones(s.shape, dtype=complex)
     tail = (2.0 * np.pi / 3.0) * (float(np.max(np.abs(s))) if s.size else 0.0)
+    out = np.ones(s.shape, dtype=complex)
+    # each factor is formed in two scratch arrays, in the operand order of
+    # 0.5 * (1.0 + np.exp(1j * np.pi * np.fmod(s, 2.0))), so it keeps every bit
+    r = np.empty(s.shape)
+    factor = np.empty(s.shape, dtype=complex)
     while tail > 1e-15:
-        r = np.fmod(s, 2.0)
-        out *= 0.5 * (1.0 + np.exp(1j * np.pi * r))
+        np.fmod(s, 2.0, out=r)
+        np.multiply(1j * np.pi, r, out=factor)
+        np.exp(factor, out=factor)
+        factor += 1.0
+        factor *= 0.5
+        out *= factor
         s *= 0.25
         tail *= 0.25
     return complex(out[0]) if scalar else out

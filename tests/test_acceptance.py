@@ -29,11 +29,11 @@ from rkboundary import (
     cantor4_fourier,
     cantor_exact,
     cantor_ifs,
-    carleson_constant,
     commuting_diagram_defect,
-    covariance_defect,
+    covariance_gap,
     dist_k,
     element,
+    empirical_covariance,
     evaluate_element,
     gauss_hermite_plane,
     h_norm_sq,
@@ -124,11 +124,11 @@ def test_criterion_04_isometry():
 def test_criterion_05_carleson():
     worst = 0.0
     for name, _, ext, measure, section, _ in member_triples():
-        base = carleson_constant(ext, measure, section)
+        base = membership_defect(ext, measure, section).carleson_constant
         worst = max(worst, abs(base - 1.0))
         for alpha in (0.5, 2.0, 10.0):
-            scaled = carleson_constant(ext, scale_measure(measure, alpha), section)
-            worst = max(worst, abs(scaled - alpha))
+            scaled = membership_defect(ext, scale_measure(measure, alpha), section)
+            worst = max(worst, abs(scaled.carleson_constant - alpha))
     _report(5, "carleson", worst < 1e-8, f"worst |constant - alpha| = {worst:.3e}")
 
 
@@ -209,7 +209,7 @@ def test_criterion_10_gaussian_boundary():
     started = time.perf_counter()
     section = build_section(SzegoKernel(), spiral_points(5, 0.2, 0.85))
     ensemble = build_ensemble(section, 42)
-    defect = covariance_defect(ensemble, 100_000)
+    defect = covariance_gap(empirical_covariance(ensemble, 100_000), section.gram)
     product = ensemble.factor @ ensemble.factor.conj().T
     marginal_gap = max(
         float(np.max(np.abs(product[:m, :m] - section.gram[:m, :m])))

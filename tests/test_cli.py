@@ -547,6 +547,22 @@ def test_emit_csv_structure():
     assert len(lines[table_at + 2:]) == 3  # one row per eigenvalue
 
 
+def test_table_rejects_columns_of_unequal_length():
+    with pytest.raises(ValueError):
+        rkboundary.cli._table(["a", "b"], np.arange(3), np.zeros(2))
+
+
+@pytest.mark.parametrize("command", sorted(rkboundary.cli._RUNNERS))
+def test_every_table_cell_is_a_python_number(command):
+    # rows are lists, not tuples, because readers edit them in place
+    report = run(parse_config([command]))
+    assert report.tables
+    for table in report.tables.values():
+        for row in table["rows"]:
+            assert type(row) is list and len(row) == len(table["columns"])
+            assert all(type(cell) in (int, float) for cell in row), (command, row)
+
+
 def test_every_verdict_pairs_value_and_tolerance(capsys):
     main(["morphism"])
     doc = json.loads(capsys.readouterr().out)

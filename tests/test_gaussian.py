@@ -22,7 +22,6 @@ from rkboundary import (
     SzegoKernel,
     build_ensemble,
     build_section,
-    covariance_defect,
     covariance_gap,
     empirical_covariance,
     sample,
@@ -320,13 +319,14 @@ def test_gp_any_sample_count_ends_quickly(count):
 
 def test_defect_zoo_statistical():
     for section in zoo_sections():
-        ensemble = build_ensemble(section, 42)
-        assert covariance_defect(ensemble, 100_000) < 0.05, section.kernel.name
+        cov = empirical_covariance(build_ensemble(section, 42), 100_000)
+        assert covariance_gap(cov, section.gram) < 0.05, section.kernel.name
 
 
 def test_defect_zero_gram_guarded():
     section = build_section(ExplicitGramKernel(np.zeros((1, 1))), [0])
-    assert covariance_defect(build_ensemble(section, 1), 10) == 0.0
+    cov = empirical_covariance(build_ensemble(section, 1), 10)
+    assert covariance_gap(cov, section.gram) == 0.0
 
 
 def test_defect_decreases_with_more_samples():
@@ -334,8 +334,8 @@ def test_defect_decreases_with_more_samples():
     small, large = [], []
     for seed in range(10):
         ensemble = build_ensemble(section, seed)
-        small.append(covariance_defect(ensemble, 100))
-        large.append(covariance_defect(ensemble, 10_000))
+        small.append(covariance_gap(empirical_covariance(ensemble, 100), section.gram))
+        large.append(covariance_gap(empirical_covariance(ensemble, 10_000), section.gram))
     assert np.mean(large) < np.mean(small)
 
 

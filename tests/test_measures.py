@@ -133,6 +133,34 @@ def test_cantor4_fourier_matches_high_precision_oracle():
     assert np.max(np.abs(got[diffs.size:] - want[diffs.size:])) < 1e-14
 
 
+def _cantor4_fourier_reference(t):
+    """The product with one temporary per operation, as written before the
+    factors were formed in place."""
+    s = np.atleast_1d(np.asarray(t, dtype=float)).copy()
+    out = np.ones(s.shape, dtype=complex)
+    tail = (2.0 * np.pi / 3.0) * float(np.max(np.abs(s)))
+    while tail > 1e-15:
+        r = np.fmod(s, 2.0)
+        out *= 0.5 * (1.0 + np.exp(1j * np.pi * r))
+        s *= 0.25
+        tail *= 0.25
+    return out
+
+
+def test_cantor4_fourier_in_place_factors_keep_every_bit():
+    # the level-10 difference table, its negation and random frequencies out
+    # to the level-12 extremes: real and imaginary parts equal bit for bit,
+    # signs of zero included
+    level = 10
+    code = np.arange(3 ** level)
+    diffs = sum(((code // 3 ** i) % 3 - 1) * 4 ** i for i in range(level)).astype(float)
+    drawn = np.random.default_rng(7).uniform(-1e7, 1e7, size=10 ** 5)
+    for t in (diffs, -diffs, drawn, np.array([0.0, -0.0, 1.0, -1.0, 2.0, -2.0])):
+        got, want = cantor4_fourier(t), _cantor4_fourier_reference(t)
+        assert np.array_equal(got.view(float), want.view(float))
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
 def test_cantor4_fourier_conjugate_symmetry(rng):
     t = rng.uniform(-50, 50, size=100)
     vals = cantor4_fourier(t)
