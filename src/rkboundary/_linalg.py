@@ -7,7 +7,6 @@ import numpy as np
 __all__ = [
     "NotHermitianError",
     "NotPositiveSemidefiniteError",
-    "require_hermitian",
     "pivoted_cholesky",
 ]
 

@@ -16,7 +16,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,32 +94,6 @@ class UsageError(Exception):
     """Invalid invocation: bad flag value, malformed descriptor, unreadable input."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation: one command plus its validated parameters.
-
-    A setting the command does not take is None, and stays out of the echo.
-    """
-
-    command: str
-    kernel: str | None
-    level: int | None
-    measure: str | None
-    scale: float | None
-    points: str | None
-    tol: float
-    seed: int | None
-    samples: int | None
-    probes: int | None
-    freq: int | None
-    shift: float | None
-    support: int | None
-    grid: str | None
-    parseval_max: int | None
-    out: str | None
-    fmt: str
-
-
 @dataclass
 class Report:
     """Structured outcome of one run.
@@ -152,11 +126,11 @@ class Report:
 
 
 def _cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"non-finite cell {value!r}")
         return repr(float(value))
@@ -170,7 +144,7 @@ def _nonfinite_keys(value) -> list | None:
     elif isinstance(value, (list, tuple)):
         items = enumerate(value)
     else:
-        nonfinite = isinstance(value, (float, np.floating)) and not math.isfinite(value)
+        nonfinite = isinstance(value, float) and not math.isfinite(value)
         return [] if nonfinite else None
     for key, child in items:
         found = _nonfinite_keys(child)
@@ -242,7 +216,7 @@ def _json_text(doc: dict) -> str:
     tables = doc["tables"]
     shell = {**doc, "tables": {name: {**table, "rows": f"\0rows of {name}"}
                                for name, table in tables.items()}}
-    text = json.dumps(shell, sort_keys=True, indent=2, allow_nan=False, default=_json_default)
+    text = json.dumps(shell, sort_keys=True, indent=2, allow_nan=False)
     pieces = ["\n"]
     # sort_keys orders the placeholders by table name; the tables follow the
     # config, which may echo any string, so the rightmost match is the placeholder
@@ -266,17 +240,7 @@ def _json_rows(rows: list) -> list[str]:
             "\n        ]\n      ]"]
 
 
-def _json_default(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-_ROW_ENCODER = json.JSONEncoder(allow_nan=False, default=_json_default)
+_ROW_ENCODER = json.JSONEncoder(allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config(argv=None) -> RunConfig:
+def parse_config(argv=None) -> argparse.Namespace:
     """Parse flags and the optional config file into a resolved run.
 
     The entries of a config file are read as ``--key=value`` flags placed
     right after the command name, so the command's own parser checks them
-    and the flags given on the command line override them.
+    and the flags given on the command line override them.  A setting the
+    command does not take is absent from the namespace.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
@@ -429,10 +394,9 @@ def parse_config(argv=None) -> RunConfig:
     if args.config:
         at = argv.index(args.command) + 1
         args = _parse(parser, argv[:at] + _config_flags(args.config) + argv[at:])
-    config = RunConfig(**{f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
-    if config.level is not None and config.kernel not in (None, "cantor4"):
+    if getattr(args, "kernel", None) not in (None, "cantor4") and args.level is not None:
         raise UsageError("--level applies only to --kernel cantor4")
-    return config
+    return args
 
 
 def _parse(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
@@ -467,13 +431,13 @@ def _config_flags(path: str) -> list:
 # object construction from config
 # ---------------------------------------------------------------------------
 
-def _kernel_setting(cfg: RunConfig, name: str):
+def _kernel_setting(cfg: argparse.Namespace, name: str):
     """The value given for a flag, else the default of the configured kernel."""
     value = getattr(cfg, name)
     return _KERNEL_DEFAULTS[cfg.kernel][name] if value is None else value
 
 
-def make_kernel(cfg: RunConfig):
+def make_kernel(cfg: argparse.Namespace):
     if cfg.kernel == "szego":
         return SzegoKernel()
     if cfg.kernel == "bargmann":
@@ -487,7 +451,7 @@ def make_kernel(cfg: RunConfig):
 
 _NODE_REQUIRED_COMMANDS = {"adjoint-roundtrip", "project"}
 
-def make_measure(cfg: RunConfig):
+def make_measure(cfg: argparse.Namespace):
     """The unit measure the descriptor names, scaled by ``--scale``."""
     desc = _kernel_setting(cfg, "measure")
     if cfg.measure is None and cfg.command in _NODE_REQUIRED_COMMANDS and desc == "cantor-exact":
@@ -566,7 +530,7 @@ def builtin_grid(n: int, kernel) -> np.ndarray:
     raise UsageError(f"no builtin grid for domain {kernel.domain!r}")
 
 
-def make_points(cfg: RunConfig, kernel) -> np.ndarray:
+def make_points(cfg: argparse.Namespace, kernel) -> np.ndarray:
     src = _kernel_setting(cfg, "points")
     match = re.fullmatch(r"grid(\d+)", src)
     if match:
@@ -622,14 +586,14 @@ def _entry_table(matrix: np.ndarray, column: str) -> dict:
     }
 
 
-def _boundary_setup(cfg: RunConfig):
+def _boundary_setup(cfg: argparse.Namespace):
     """Section, measure and canonical boundary extension of a section runner."""
     kernel = make_kernel(cfg)
     section = build_section(kernel, make_points(cfg, kernel))
     return section, make_measure(cfg), kernel.boundary_extension()
 
 
-def _run_pd_check(cfg: RunConfig, report: Report) -> None:
+def _run_pd_check(cfg: argparse.Namespace, report: Report) -> None:
     kernel = make_kernel(cfg)
     points = np.atleast_1d(kernel.validate_points(make_points(cfg, kernel)))
     verdict = pd_check(kernel.gram(points), cfg.tol)
@@ -643,7 +607,7 @@ def _run_pd_check(cfg: RunConfig, report: Report) -> None:
     report.add_verdict("positive-semidefinite", verdict.min_eigenvalue, cfg.tol, verdict.passed)
 
 
-def _membership(cfg: RunConfig, report: Report):
+def _membership(cfg: argparse.Namespace, report: Report):
     """The section's membership defect; fills the Carleson scalars and pencil table."""
     section, measure, ext = _boundary_setup(cfg)
     # an empty section spans nothing, so its estimate 0 fails the unit verdict
@@ -656,19 +620,19 @@ def _membership(cfg: RunConfig, report: Report):
     return member
 
 
-def _run_factorize(cfg: RunConfig, report: Report) -> None:
+def _run_factorize(cfg: argparse.Namespace, report: Report) -> None:
     member = _membership(cfg, report)
     report.scalars["membership_defect"] = member.defect
     report.tables["factorization_deviation"] = _entry_table(member.deviation, "abs_deviation")
     report.add_verdict("membership", member.defect, cfg.tol, member.passed)
 
 
-def _run_carleson(cfg: RunConfig, report: Report) -> None:
+def _run_carleson(cfg: argparse.Namespace, report: Report) -> None:
     gap = abs(_membership(cfg, report).carleson_constant - 1.0)
     report.add_verdict("unit-carleson-constant", gap, cfg.tol, gap <= cfg.tol)
 
 
-def _run_isometry(cfg: RunConfig, report: Report) -> None:
+def _run_isometry(cfg: argparse.Namespace, report: Report) -> None:
     section, measure, ext = _boundary_setup(cfg)
     parts = np.random.default_rng(cfg.seed).standard_normal((cfg.samples, 2, section.size))
     coeffs = parts[:, 0] + 1j * parts[:, 1]
@@ -683,7 +647,7 @@ def _run_isometry(cfg: RunConfig, report: Report) -> None:
     report.add_verdict("isometry", worst, cfg.tol, worst < cfg.tol)
 
 
-def _run_adjoint_roundtrip(cfg: RunConfig, report: Report) -> None:
+def _run_adjoint_roundtrip(cfg: argparse.Namespace, report: Report) -> None:
     section, measure, ext = _boundary_setup(cfg)
     if measure.nodes is None:
         raise UsageError("the round-trip samples boundary values at quadrature nodes; "
@@ -701,7 +665,7 @@ def _run_adjoint_roundtrip(cfg: RunConfig, report: Report) -> None:
     report.add_verdict("adjoint-roundtrip", worst, cfg.tol, worst < cfg.tol)
 
 
-def _run_project(cfg: RunConfig, report: Report) -> None:
+def _run_project(cfg: argparse.Namespace, report: Report) -> None:
     section, measure, ext = _boundary_setup(cfg)
     if measure.nodes is None or np.iscomplexobj(measure.nodes):
         raise UsageError("frequency targets need a node-based real boundary "
@@ -724,7 +688,7 @@ def _run_project(cfg: RunConfig, report: Report) -> None:
     )
 
 
-def _run_gp(cfg: RunConfig, report: Report) -> None:
+def _run_gp(cfg: argparse.Namespace, report: Report) -> None:
     kernel = make_kernel(cfg)
     section = build_section(kernel, make_points(cfg, kernel))
     ensemble = build_ensemble(section, cfg.seed)
@@ -739,7 +703,7 @@ def _run_gp(cfg: RunConfig, report: Report) -> None:
     report.add_verdict("covariance", defect, cfg.tol, defect < cfg.tol)
 
 
-def _run_shannon(cfg: RunConfig, report: Report) -> None:
+def _run_shannon(cfg: argparse.Namespace, report: Report) -> None:
     try:
         start, stop, step = (float(x) for x in cfg.grid.split(":"))
     except ValueError:
@@ -765,7 +729,7 @@ def _run_shannon(cfg: RunConfig, report: Report) -> None:
     report.add_verdict("exact-at-integers", integer_gap, 1e-15, integer_gap == 0.0)
 
 
-def _run_cantor_onb(cfg: RunConfig, report: Report) -> None:
+def _run_cantor_onb(cfg: argparse.Namespace, report: Report) -> None:
     lam, max_diag, row_max = lambda4_orthonormality_gaps(cfg.level)
     max_off = float(np.max(row_max))
     mu_hat_one = float(np.abs(cantor4_fourier(1.0)))
@@ -786,10 +750,7 @@ def _run_cantor_onb(cfg: RunConfig, report: Report) -> None:
     report.add_verdict("transform-zero-at-one", mu_hat_one, 1e-14, mu_hat_one < 1e-14)
     report.add_verdict("parseval-monotone", max(max_increase, 0.0), 1e-15, max_increase <= 0.0)
     report.add_verdict(
-        "parseval-bounded",
-        max(max((abs(min(d, 0.0)) for d in defects), default=0.0),
-            max((d - 1.0 for d in defects), default=0.0), 0.0),
-        1e-10,
+        "parseval-bounded", max(0.0, -min(defects), max(defects) - 1.0), 1e-10,
         all(-1e-10 <= d <= 1.0 for d in defects),
     )
 
@@ -815,7 +776,7 @@ def morphism_demo():
     return kernel, ext_coarse, ext_fine, mu_coarse, mu_fine, atom_map, section, f
 
 
-def _run_morphism(cfg: RunConfig, report: Report) -> None:
+def _run_morphism(cfg: argparse.Namespace, report: Report) -> None:
     _, ext_coarse, ext_fine, mu_coarse, mu_fine, atom_map, section, f = morphism_demo()
     check = morphism_check(mu_coarse, mu_fine, atom_map, tol=cfg.tol)
     coarse_member = membership_defect(ext_coarse, mu_coarse, section, tol=cfg.tol)
@@ -855,12 +816,14 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> Report:
+def run(config: argparse.Namespace) -> Report:
     """Execute one command; deterministic given the config (seed included)."""
     started = time.perf_counter()
-    # the output path is delivery metadata, not part of the computation; keeping
-    # it out of the echo keeps reports byte-identical wherever they are written
-    echo = {k: v for k, v in asdict(config).items() if v is not None and k != "out"}
+    # the output and config-file paths are delivery metadata, not part of the
+    # computation; keeping them out of the echo keeps reports byte-identical
+    # wherever they are written and however the settings were given
+    echo = {k: v for k, v in vars(config).items()
+            if v is not None and k not in ("out", "config")}
     report = Report(command=config.command, config=echo)
     _RUNNERS[config.command](config, report)
     report.duration_ms = (time.perf_counter() - started) * 1000.0

@@ -33,8 +33,7 @@ __all__ = [
     "ExplicitGramKernel",
     "ExplicitFeatureKernel",
     "BoundaryExtension",
-    "SzegoCircleExtension",
-    "Cantor4CircleExtension",
+    "CircleExtension",
     "BargmannPlaneExtension",
     "SincBandExtension",
     "FrameExtension",
@@ -155,7 +154,7 @@ class SzegoKernel(Kernel):
         return out[()]
 
     def boundary_extension(self):
-        return SzegoCircleExtension(self)
+        return CircleExtension(self)
 
 
 @dataclass(frozen=True)
@@ -222,7 +221,7 @@ class Cantor4Kernel(Kernel):
         return out[()]
 
     def boundary_extension(self):
-        return Cantor4CircleExtension(self)
+        return CircleExtension(self)
 
 
 @dataclass(frozen=True)
@@ -316,8 +315,6 @@ class BoundaryExtension:
     validated against the extension's boundary domain.
     """
 
-    boundary: str = "abstract"
-
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
 
@@ -334,24 +331,19 @@ class BoundaryExtension:
         raise NotImplementedError
 
 
-class _CircleExtension(BoundaryExtension):
-    """Disk kernel continued to the circle: K^B(z, x) = K(z, e^{2 pi i x})."""
+class CircleExtension(BoundaryExtension):
+    """Disk kernel continued to the circle: K^B(z, x) = K(z, e^{2 pi i x}).
 
-    boundary = "circle"
+    x is the 1-periodic coordinate: the Szego values are
+    1 / (1 - conj(z) e^{2 pi i x}), the cantor4 values
+    prod_{l < level} (1 + (conj(z) e^{2 pi i x})^(4^l)).
+    """
 
     def validate_boundary(self, b):
         return _real_points(b, "circle coordinate")
 
     def _eval(self, s, b):
         return self.kernel._eval(s, np.exp(2j * np.pi * b))
-
-
-class SzegoCircleExtension(_CircleExtension):
-    """Circle values 1 / (1 - conj(z) e^{2 pi i x}); x is the 1-periodic coordinate."""
-
-
-class Cantor4CircleExtension(_CircleExtension):
-    """Circle values prod_{l < level} (1 + (conj(z) e^{2 pi i x})^(4^l))."""
 
 
 class BargmannPlaneExtension(BoundaryExtension):
@@ -362,8 +354,6 @@ class BargmannPlaneExtension(BoundaryExtension):
     (:func:`rkboundary.measures.gauss_hermite_plane`) reproduce the kernel
     with a finite-mass integrator.
     """
-
-    boundary = "plane"
 
     def validate_boundary(self, b):
         z = np.asarray(b, dtype=complex)
@@ -380,8 +370,6 @@ class BargmannPlaneExtension(BoundaryExtension):
 
 class SincBandExtension(BoundaryExtension):
     """Band values e^{-2 pi i s xi} for frequencies |xi| <= 1/2."""
-
-    boundary = "band"
 
     def validate_boundary(self, b):
         xi = _real_points(b, "band frequency")
@@ -410,8 +398,6 @@ class FrameExtension(BoundaryExtension):
     atoms with those weights factor the kernel exactly.
     """
 
-    boundary = "atoms"
-
     def __init__(self, kernel: ExplicitFeatureKernel, frames):
         if not isinstance(kernel, ExplicitFeatureKernel):
             raise TypeError("frame extensions require an explicit feature kernel")
@@ -430,8 +416,6 @@ class FrameExtension(BoundaryExtension):
 
 class PullbackExtension(BoundaryExtension):
     """Extension transported through an atom map: value at (s, b) is the base value at (s, map[b])."""
-
-    boundary = "atoms"
 
     def __init__(self, base: BoundaryExtension, atom_map: Mapping):
         super().__init__(base.kernel)

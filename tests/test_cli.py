@@ -52,7 +52,7 @@ def test_defaults_resolved():
     assert cfg.command == "factorize"
     assert cfg.kernel == "szego"
     assert cfg.tol == 1e-8
-    assert cfg.seed is None  # factorize draws no random numbers
+    assert "seed" not in vars(cfg)  # factorize draws no random numbers
     assert cfg.fmt == "json"
 
 
@@ -63,6 +63,19 @@ def test_config_file_merging(tmp_path):
     assert cfg.kernel == "sinc"
     assert cfg.tol == 1e-6
     assert cfg.seed == 4  # flags override file values
+
+
+def test_config_file_and_flags_emit_the_same_bytes(tmp_path, capsys):
+    # the config-file path is delivery metadata, never echoed
+    flags = ["--kernel", "sinc", "--points", "grid4", "--samples", "5", "--seed", "2"]
+    assert main(["isometry", *flags]) == EXIT_PASS
+    from_flags = capsys.readouterr().out
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"kernel": "sinc", "points": "grid4", "samples": 5}))
+    assert main(["isometry", "--config", str(path), "--seed", "2"]) == EXIT_PASS
+    from_file = capsys.readouterr().out
+    assert from_file.encode() == from_flags.encode()
+    assert "config" not in json.loads(from_file)["config"]
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
@@ -425,6 +438,15 @@ def test_cantor_onb_run(capsys):
     assert levels == list(range(2, 9))
 
 
+def test_cantor_onb_one_level_parseval_table(capsys):
+    # one row has no consecutive differences, so the table is trivially monotone
+    assert main(["cantor-onb", "--parseval-max", "2"]) == EXIT_PASS
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["tables"]["parseval_defects"]["rows"]) == 1
+    verdicts = {v["name"]: v["value"] for v in doc["verdicts"]}
+    assert verdicts["parseval-monotone"] == 0.0
+
+
 def test_project_run(capsys):
     code = main(["project", "--kernel", "szego", "--points", "grid5",
                  "--measure", "uniform:512", "--freq", "-1"])
@@ -554,10 +576,17 @@ def test_table_rejects_columns_of_unequal_length():
 
 @pytest.mark.parametrize("command", sorted(rkboundary.cli._RUNNERS))
 def test_every_table_cell_is_a_python_number(command):
-    # rows are lists, not tuples, because readers edit them in place
+    # emission handles Python values only: a numpy scalar anywhere in a report
+    # would fail the JSON encoder or print as np.float64(...) in a CSV cell
     report = run(parse_config([command]))
+    assert all(type(v) in (str, int, float) for v in report.config.values()), report.config
+    assert all(type(v) in (int, float) for v in report.scalars.values()), report.scalars
+    for verdict in report.verdicts:
+        assert [type(verdict[k]) for k in ("name", "value", "tolerance", "passed")] == [
+            str, float, float, bool], verdict
     assert report.tables
     for table in report.tables.values():
+        # rows are lists, not tuples, because readers edit them in place
         for row in table["rows"]:
             assert type(row) is list and len(row) == len(table["columns"])
             assert all(type(cell) in (int, float) for cell in row), (command, row)

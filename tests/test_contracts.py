@@ -55,6 +55,24 @@ def test_traced_subcommands_close_spans_and_count(monkeypatch, tmp_path):
     json.dumps(recorder.dump())
 
 
+def test_package_exports_each_module_list_once():
+    # each module's __all__ is the only list of its public names
+    modules = [rkboundary._linalg, rkboundary.boundary, rkboundary.gaussian,
+               rkboundary.kernels, rkboundary.measures, rkboundary.reconstruct]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(rkboundary, name) is getattr(module, name), (module.__name__, name)
+    assert len(rkboundary.__all__) == len(set(rkboundary.__all__))
+    assert set(rkboundary.__all__) == {"__version__", *(n for m in modules for n in m.__all__)}
+
+
+def test_readme_constants_import_from_the_package():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"`([A-Z][A-Z0-9]*_[A-Z0-9_]+)`", readme))
+    assert named >= {"MAX_EXACT_LEVEL", "BARGMANN_MAX_MODULUS", "SINC_BAND_MAX_POINT"}
+    assert named <= set(rkboundary.__all__)
+
+
 def test_readme_library_example_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library example", 1)[1]

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rkboundary.cli import _json_default, emit, parse_config, run
+from rkboundary.cli import emit, parse_config, run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -63,8 +63,7 @@ def stdlib_json(report) -> str:
         "verdicts": report.verdicts,
         "version": report.version,
     }
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False,
-                      default=_json_default) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
