@@ -14,6 +14,9 @@ __all__ = [
 # is zero; one below -NEGATIVE_TOL of that scale is a negative direction
 PRUNE_TOL = 1e-12
 NEGATIVE_TOL = 1e-10
+# require_hermitian: an entrywise gap |A - A^H| above HERMITIAN_TOL of the
+# largest modulus (or one) is not rounding
+HERMITIAN_TOL = 1e-12
 # row_blocks: each complex array that one block of rows holds stays within
 # this, the evaluation and any scratch array beside it alike
 BLOCK_BYTES = 1024 * 1024
@@ -27,23 +30,15 @@ class NotPositiveSemidefiniteError(ValueError):
     """A matrix expected to be PSD has a significantly negative direction."""
 
 
-def hermitian_gap(matrix) -> float:
-    """Largest entrywise deviation between a matrix and its conjugate transpose."""
-    a = np.asarray(matrix)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - a.conj().T)))
-
-
-def require_hermitian(matrix, rel_tol: float = 1e-12, what: str = "matrix") -> np.ndarray:
+def require_hermitian(matrix, what: str = "matrix") -> np.ndarray:
     """Validate Hermitian symmetry and return the exactly symmetrized copy."""
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{what} must be square, got shape {a.shape}")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    gap = hermitian_gap(a)
-    if gap > rel_tol * max(scale, 1.0):
-        raise NotHermitianError(f"{what} is not Hermitian (gap {gap:.3e})")
+    if a.size:
+        gap = float(np.max(np.abs(a - a.conj().T)))
+        if gap > HERMITIAN_TOL * max(float(np.max(np.abs(a))), 1.0):
+            raise NotHermitianError(f"{what} is not Hermitian (gap {gap:.3e})")
     return 0.5 * (a + a.conj().T)
 
 

@@ -16,7 +16,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,37 +93,6 @@ class UsageError(Exception):
     """Invalid invocation: bad flag value, malformed descriptor, unreadable input."""
 
 
-@dataclass
-class Report:
-    """Structured outcome of one run.
-
-    Every verdict pairs the measured value with the tolerance it was judged
-    against.  ``duration_ms`` is informational only and never serialized.
-    """
-
-    command: str
-    config: dict
-    scalars: dict = field(default_factory=dict)
-    verdicts: list = field(default_factory=list)
-    tables: dict = field(default_factory=dict)
-    version: str = __version__
-    duration_ms: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return all(v["passed"] for v in self.verdicts)
-
-    def add_verdict(self, name: str, value: float, tolerance: float, passed: bool) -> None:
-        self.verdicts.append(
-            {
-                "name": name,
-                "value": float(value),
-                "tolerance": float(tolerance),
-                "passed": bool(passed),
-            }
-        )
-
-
 def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -153,24 +121,16 @@ def _nonfinite_keys(value) -> list | None:
     return None
 
 
-def emit(report: Report, fmt: str = "json") -> str:
+def emit(report: dict, fmt: str = "json") -> str:
     """Serialize a report; identical reports produce identical bytes.
 
     A NaN or infinite value has no JSON form, so it is refused in either
     format with a ValueError that names the field.
     """
-    doc = {
-        "command": report.command,
-        "config": report.config,
-        "scalars": report.scalars,
-        "tables": report.tables,
-        "verdicts": report.verdicts,
-        "version": report.version,
-    }
     try:
-        return _serialize(doc, fmt)
+        return _serialize(report, fmt)
     except ValueError:
-        keys = _nonfinite_keys(doc)
+        keys = _nonfinite_keys(report)
         if keys is None:
             raise
         field_name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
@@ -586,6 +546,13 @@ def _entry_table(matrix: np.ndarray, column: str) -> dict:
     }
 
 
+def _verdict(report: dict, name: str, value: float, tolerance: float, passed: bool) -> None:
+    """Record a verdict: the measured value beside the tolerance it was judged against."""
+    report["verdicts"].append(
+        {"name": name, "value": float(value), "tolerance": float(tolerance), "passed": bool(passed)}
+    )
+
+
 def _boundary_setup(cfg: argparse.Namespace):
     """Section, measure and canonical boundary extension of a section runner."""
     kernel = make_kernel(cfg)
@@ -593,46 +560,47 @@ def _boundary_setup(cfg: argparse.Namespace):
     return section, make_measure(cfg), kernel.boundary_extension()
 
 
-def _run_pd_check(cfg: argparse.Namespace, report: Report) -> None:
+def _run_pd_check(cfg: argparse.Namespace, report: dict) -> None:
     kernel = make_kernel(cfg)
     points = np.atleast_1d(kernel.validate_points(make_points(cfg, kernel)))
     verdict = pd_check(kernel.gram(points), cfg.tol)
-    report.scalars = {
+    report["scalars"] = {
         "min_eigenvalue": verdict.min_eigenvalue,
         "threshold": verdict.threshold,
         "points": int(points.shape[0]),
     }
     values = verdict.eigenvalues
-    report.tables["eigenvalues"] = _table(["index", "eigenvalue"], np.arange(len(values)), values)
-    report.add_verdict("positive-semidefinite", verdict.min_eigenvalue, cfg.tol, verdict.passed)
+    report["tables"]["eigenvalues"] = _table(
+        ["index", "eigenvalue"], np.arange(len(values)), values)
+    _verdict(report, "positive-semidefinite", verdict.min_eigenvalue, cfg.tol, verdict.passed)
 
 
-def _membership(cfg: argparse.Namespace, report: Report):
+def _membership(cfg: argparse.Namespace, report: dict):
     """The section's membership defect; fills the Carleson scalars and pencil table."""
     section, measure, ext = _boundary_setup(cfg)
     # an empty section spans nothing, so its estimate 0 fails the unit verdict
     member = membership_defect(ext, measure, section, tol=cfg.tol)
-    report.scalars["carleson_constant_estimate"] = member.carleson_constant
-    report.scalars["total_mass"] = measure.total_mass
+    report["scalars"]["carleson_constant_estimate"] = member.carleson_constant
+    report["scalars"]["total_mass"] = measure.total_mass
     values = member.eigenvalues
-    report.tables["pencil_eigenvalues"] = _table(
+    report["tables"]["pencil_eigenvalues"] = _table(
         ["index", "eigenvalue"], np.arange(len(values)), values)
     return member
 
 
-def _run_factorize(cfg: argparse.Namespace, report: Report) -> None:
+def _run_factorize(cfg: argparse.Namespace, report: dict) -> None:
     member = _membership(cfg, report)
-    report.scalars["membership_defect"] = member.defect
-    report.tables["factorization_deviation"] = _entry_table(member.deviation, "abs_deviation")
-    report.add_verdict("membership", member.defect, cfg.tol, member.passed)
+    report["scalars"]["membership_defect"] = member.defect
+    report["tables"]["factorization_deviation"] = _entry_table(member.deviation, "abs_deviation")
+    _verdict(report, "membership", member.defect, cfg.tol, member.passed)
 
 
-def _run_carleson(cfg: argparse.Namespace, report: Report) -> None:
+def _run_carleson(cfg: argparse.Namespace, report: dict) -> None:
     gap = abs(_membership(cfg, report).carleson_constant - 1.0)
-    report.add_verdict("unit-carleson-constant", gap, cfg.tol, gap <= cfg.tol)
+    _verdict(report, "unit-carleson-constant", gap, cfg.tol, gap <= cfg.tol)
 
 
-def _run_isometry(cfg: argparse.Namespace, report: Report) -> None:
+def _run_isometry(cfg: argparse.Namespace, report: dict) -> None:
     section, measure, ext = _boundary_setup(cfg)
     parts = np.random.default_rng(cfg.seed).standard_normal((cfg.samples, 2, section.size))
     coeffs = parts[:, 0] + 1j * parts[:, 1]
@@ -640,14 +608,14 @@ def _run_isometry(cfg: argparse.Namespace, report: Report) -> None:
     defect = np.abs(norm_sq - transformed)
     normalized = defect / (1.0 + norm_sq)
     worst = float(np.max(normalized))
-    report.scalars = {"max_normalized_defect": worst}
-    report.tables["isometry_trials"] = _table(
+    report["scalars"] = {"max_normalized_defect": worst}
+    report["tables"]["isometry_trials"] = _table(
         ["trial", "norm_sq", "defect", "normalized_defect"],
         np.arange(cfg.samples), norm_sq, defect, normalized)
-    report.add_verdict("isometry", worst, cfg.tol, worst < cfg.tol)
+    _verdict(report, "isometry", worst, cfg.tol, worst < cfg.tol)
 
 
-def _run_adjoint_roundtrip(cfg: argparse.Namespace, report: Report) -> None:
+def _run_adjoint_roundtrip(cfg: argparse.Namespace, report: dict) -> None:
     section, measure, ext = _boundary_setup(cfg)
     if measure.nodes is None:
         raise UsageError("the round-trip samples boundary values at quadrature nodes; "
@@ -659,28 +627,29 @@ def _run_adjoint_roundtrip(cfg: argparse.Namespace, report: Report) -> None:
     roundtrip = adjoint_apply(samples, ext, measure, probes)
     errors = np.abs(roundtrip - evaluate_element(f, probes))
     worst = float(np.max(errors))
-    report.scalars = {"max_roundtrip_error": worst}
-    report.tables["probe_errors"] = _table(
+    report["scalars"] = {"max_roundtrip_error": worst}
+    report["tables"]["probe_errors"] = _table(
         ["probe_re", "probe_im", "abs_error"], np.real(probes), np.imag(probes), errors)
-    report.add_verdict("adjoint-roundtrip", worst, cfg.tol, worst < cfg.tol)
+    _verdict(report, "adjoint-roundtrip", worst, cfg.tol, worst < cfg.tol)
 
 
-def _run_project(cfg: argparse.Namespace, report: Report) -> None:
+def _run_project(cfg: argparse.Namespace, report: dict) -> None:
     section, measure, ext = _boundary_setup(cfg)
     if measure.nodes is None or np.iscomplexobj(measure.nodes):
         raise UsageError("frequency targets need a node-based real boundary "
                          "(circle, band, or Cantor atoms)")
     target = np.exp(2j * np.pi * cfg.freq * measure.nodes)
     result = onto_residual(target, ext, measure, section)
-    report.scalars = {
+    report["scalars"] = {
         "residual": result.residual,
         "target_norm": result.target_norm,
         "rank": result.rank,
     }
     coeffs = result.coeffs
-    report.tables["projection_coefficients"] = _table(
+    report["tables"]["projection_coefficients"] = _table(
         ["index", "re", "im"], np.arange(len(coeffs)), np.real(coeffs), np.imag(coeffs))
-    report.add_verdict(
+    _verdict(
+        report,
         "residual-bounded-by-target",
         result.residual - result.target_norm,
         cfg.tol,
@@ -688,22 +657,22 @@ def _run_project(cfg: argparse.Namespace, report: Report) -> None:
     )
 
 
-def _run_gp(cfg: argparse.Namespace, report: Report) -> None:
+def _run_gp(cfg: argparse.Namespace, report: dict) -> None:
     kernel = make_kernel(cfg)
     section = build_section(kernel, make_points(cfg, kernel))
     ensemble = build_ensemble(section, cfg.seed)
     cov = empirical_covariance(ensemble, cfg.samples)
     defect = covariance_gap(cov, section.gram)
-    report.scalars = {
+    report["scalars"] = {
         "covariance_defect": defect,
         "factor_residual": ensemble.factor_residual,
         "sample_count": cfg.samples,
     }
-    report.tables["entry_errors"] = _entry_table(np.abs(cov - section.gram), "abs_error")
-    report.add_verdict("covariance", defect, cfg.tol, defect < cfg.tol)
+    report["tables"]["entry_errors"] = _entry_table(np.abs(cov - section.gram), "abs_error")
+    _verdict(report, "covariance", defect, cfg.tol, defect < cfg.tol)
 
 
-def _run_shannon(cfg: argparse.Namespace, report: Report) -> None:
+def _run_shannon(cfg: argparse.Namespace, report: dict) -> None:
     try:
         start, stop, step = (float(x) for x in cfg.grid.split(":"))
     except ValueError:
@@ -723,34 +692,35 @@ def _run_shannon(cfg: argparse.Namespace, report: Report) -> None:
     if np.any(stored_mask):
         stored = np.asarray([samples[int(t)] for t in grid[stored_mask]])
         integer_gap = float(np.max(np.abs(reconstructed[stored_mask] - stored)))
-    report.scalars = {"max_error": worst, "max_integer_gap": integer_gap}
-    report.tables["grid_errors"] = _table(["t", "abs_error"], grid, errors)
-    report.add_verdict("reconstruction", worst, cfg.tol, worst < cfg.tol)
-    report.add_verdict("exact-at-integers", integer_gap, 1e-15, integer_gap == 0.0)
+    report["scalars"] = {"max_error": worst, "max_integer_gap": integer_gap}
+    report["tables"]["grid_errors"] = _table(["t", "abs_error"], grid, errors)
+    _verdict(report, "reconstruction", worst, cfg.tol, worst < cfg.tol)
+    _verdict(report, "exact-at-integers", integer_gap, 1e-15, integer_gap == 0.0)
 
 
-def _run_cantor_onb(cfg: argparse.Namespace, report: Report) -> None:
+def _run_cantor_onb(cfg: argparse.Namespace, report: dict) -> None:
     lam, max_diag, row_max = lambda4_orthonormality_gaps(cfg.level)
     max_off = float(np.max(row_max))
     mu_hat_one = float(np.abs(cantor4_fourier(1.0)))
-    levels, defects = zip(*parseval_table(cfg.freq, cfg.parseval_max, min_level=2))
+    # level 1 is left out: the completeness table starts at level 2
+    levels, defects = zip(*parseval_table(cfg.freq, cfg.parseval_max)[1:])
     max_increase = max(
         (defects[i + 1] - defects[i] for i in range(len(defects) - 1)), default=0.0
     )
-    report.scalars = {
+    report["scalars"] = {
         "max_offdiagonal": max_off,
         "max_diagonal_gap": max_diag,
         "mu_hat_at_one": mu_hat_one,
         "frequencies": int(lam.shape[0]),
     }
-    report.tables["row_max_offdiagonal"] = _table(["lambda", "max_offdiagonal"], lam, row_max)
-    report.tables["parseval_defects"] = _table(["level", "defect"], levels, defects)
-    report.add_verdict("orthogonality", max_off, cfg.tol, max_off < cfg.tol)
-    report.add_verdict("unit-norms", max_diag, cfg.tol, max_diag < cfg.tol)
-    report.add_verdict("transform-zero-at-one", mu_hat_one, 1e-14, mu_hat_one < 1e-14)
-    report.add_verdict("parseval-monotone", max(max_increase, 0.0), 1e-15, max_increase <= 0.0)
-    report.add_verdict(
-        "parseval-bounded", max(0.0, -min(defects), max(defects) - 1.0), 1e-10,
+    report["tables"]["row_max_offdiagonal"] = _table(["lambda", "max_offdiagonal"], lam, row_max)
+    report["tables"]["parseval_defects"] = _table(["level", "defect"], levels, defects)
+    _verdict(report, "orthogonality", max_off, cfg.tol, max_off < cfg.tol)
+    _verdict(report, "unit-norms", max_diag, cfg.tol, max_diag < cfg.tol)
+    _verdict(report, "transform-zero-at-one", mu_hat_one, 1e-14, mu_hat_one < 1e-14)
+    _verdict(report, "parseval-monotone", max(max_increase, 0.0), 1e-15, max_increase <= 0.0)
+    _verdict(
+        report, "parseval-bounded", max(0.0, -min(defects), max(defects) - 1.0), 1e-10,
         all(-1e-10 <= d <= 1.0 for d in defects),
     )
 
@@ -776,28 +746,28 @@ def morphism_demo():
     return kernel, ext_coarse, ext_fine, mu_coarse, mu_fine, atom_map, section, f
 
 
-def _run_morphism(cfg: argparse.Namespace, report: Report) -> None:
+def _run_morphism(cfg: argparse.Namespace, report: dict) -> None:
     _, ext_coarse, ext_fine, mu_coarse, mu_fine, atom_map, section, f = morphism_demo()
     check = morphism_check(mu_coarse, mu_fine, atom_map, tol=cfg.tol)
     coarse_member = membership_defect(ext_coarse, mu_coarse, section, tol=cfg.tol)
     fine_member = membership_defect(ext_fine, mu_fine, section, tol=cfg.tol)
     diagram = commuting_diagram_defect(ext_coarse, ext_fine, mu_coarse, mu_fine, atom_map, f)
     image = pushforward(mu_fine, atom_map)
-    report.scalars = {
+    report["scalars"] = {
         "pushforward_mass_error": check.max_mass_error,
         "transform_defect": diagram.transform_defect,
         "pullback_isometry_defect": diagram.pullback_isometry_defect,
     }
-    report.tables["pushforward_masses"] = _table(["atom", "mass"], image.nodes, image.weights)
-    report.add_verdict("pushforward", check.max_mass_error, cfg.tol, check.passed)
-    report.add_verdict("coarse-membership", coarse_member.defect, cfg.tol, coarse_member.passed)
-    report.add_verdict("fine-membership", fine_member.defect, cfg.tol, fine_member.passed)
-    report.add_verdict(
-        "commuting-diagram", diagram.transform_defect, cfg.tol,
+    report["tables"]["pushforward_masses"] = _table(["atom", "mass"], image.nodes, image.weights)
+    _verdict(report, "pushforward", check.max_mass_error, cfg.tol, check.passed)
+    _verdict(report, "coarse-membership", coarse_member.defect, cfg.tol, coarse_member.passed)
+    _verdict(report, "fine-membership", fine_member.defect, cfg.tol, fine_member.passed)
+    _verdict(
+        report, "commuting-diagram", diagram.transform_defect, cfg.tol,
         diagram.transform_defect < cfg.tol,
     )
-    report.add_verdict(
-        "pullback-isometry", diagram.pullback_isometry_defect, cfg.tol,
+    _verdict(
+        report, "pullback-isometry", diagram.pullback_isometry_defect, cfg.tol,
         diagram.pullback_isometry_defect < cfg.tol,
     )
 
@@ -816,24 +786,26 @@ _RUNNERS = {
 }
 
 
-def run(config: argparse.Namespace) -> Report:
-    """Execute one command; deterministic given the config (seed included)."""
-    started = time.perf_counter()
+def run(config: argparse.Namespace) -> dict:
+    """Execute one command into the report document that ``emit`` serializes;
+    deterministic given the config (seed included)."""
     # the output and config-file paths are delivery metadata, not part of the
     # computation; keeping them out of the echo keeps reports byte-identical
     # wherever they are written and however the settings were given
     echo = {k: v for k, v in vars(config).items()
             if v is not None and k not in ("out", "config")}
-    report = Report(command=config.command, config=echo)
+    report = {"command": config.command, "config": echo, "scalars": {}, "tables": {},
+              "verdicts": [], "version": __version__}
     _RUNNERS[config.command](config, report)
-    report.duration_ms = (time.perf_counter() - started) * 1000.0
     return report
 
 
 def main(argv=None) -> int:
     try:
         config = parse_config(argv)
+        started = time.perf_counter()
         report = run(config)
+        duration_ms = (time.perf_counter() - started) * 1000.0
         text = emit(report, config.fmt)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
@@ -855,5 +827,6 @@ def main(argv=None) -> int:
             return EXIT_NUMERICAL
     else:
         sys.stdout.write(text)
-    print(f"# {config.command} finished in {report.duration_ms:.1f} ms", file=sys.stderr)
-    return EXIT_PASS if report.passed else EXIT_VERDICT_FAIL
+    print(f"# {config.command} finished in {duration_ms:.1f} ms", file=sys.stderr)
+    passed = all(v["passed"] for v in report["verdicts"])
+    return EXIT_PASS if passed else EXIT_VERDICT_FAIL

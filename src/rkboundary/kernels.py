@@ -21,6 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from ._linalg import NotPositiveSemidefiniteError, require_hermitian
+from .reconstruct import MAX_LAMBDA_LEVEL
 
 __all__ = [
     "DomainError",
@@ -199,8 +200,8 @@ class Cantor4Kernel(Kernel):
     domain = "disk"
 
     def __post_init__(self):
-        if not 1 <= int(self.level) <= 20:
-            raise ValueError("truncation level must be in 1..20")
+        if not 1 <= int(self.level) <= MAX_LAMBDA_LEVEL:
+            raise ValueError(f"truncation level must be in 1..{MAX_LAMBDA_LEVEL}")
 
     def validate_points(self, points):
         return _disk_points(points)
@@ -253,13 +254,11 @@ class ExplicitGramKernel(Kernel):
 
     def __post_init__(self):
         m = require_hermitian(self.matrix, what="kernel matrix")
-        if m.size:
-            w = np.linalg.eigvalsh(m)
-            scale = float(np.max(np.real(np.diag(m))))
-            if w[0] < -DEFAULT_PSD_TOL * max(scale, 1.0):
-                raise NotPositiveSemidefiniteError(
-                    f"kernel matrix has eigenvalue {w[0]:.3e}"
-                )
+        verdict = pd_check(m)
+        if not verdict.passed:
+            raise NotPositiveSemidefiniteError(
+                f"kernel matrix has eigenvalue {verdict.min_eigenvalue:.3e}"
+            )
         object.__setattr__(self, "matrix", m)
 
     @property

@@ -92,12 +92,17 @@ def cantor_ifs(depth: int) -> QuadMeasure:
     """
     if not 1 <= depth <= MAX_CANTOR_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_CANTOR_DEPTH}")
-    m = np.arange(2 ** depth, dtype=np.int64)
-    x = np.zeros(m.shape, dtype=float)
-    for k in range(1, depth + 1):
-        bit = (m >> (depth - k)) & 1
-        x += bit * (2.0 * 4.0 ** (-k))
+    x = 2.0 * _bits_in_base(depth, 4) / 4.0 ** depth
     return QuadMeasure(x, np.full(2 ** depth, 2.0 ** (-depth)))
+
+
+def _bits_in_base(level: int, base: int) -> np.ndarray:
+    """sum_i b_i base**i for the bits b_i of each m in 0..2**level - 1."""
+    m = np.arange(2 ** level, dtype=np.int64)
+    out = np.zeros_like(m)
+    for i in range(level):
+        out += ((m >> i) & 1) * np.int64(base) ** i
+    return out
 
 
 def band_gauss_legendre(n: int) -> QuadMeasure:

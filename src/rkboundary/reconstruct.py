@@ -8,7 +8,7 @@ from typing import Mapping
 import numpy as np
 
 from ._linalg import row_blocks
-from .measures import cantor4_fourier
+from .measures import _bits_in_base, cantor4_fourier
 
 __all__ = [
     "MAX_LAMBDA_LEVEL",
@@ -39,15 +39,6 @@ def lambda4_set(level: int) -> np.ndarray:
     if not 1 <= level <= MAX_LAMBDA_LEVEL:
         raise ValueError(f"level must be in 1..{MAX_LAMBDA_LEVEL} (int64 overflow guard)")
     return _bits_in_base(level, 4)
-
-
-def _bits_in_base(level: int, base: int) -> np.ndarray:
-    """sum_i b_i base**i for the bits b_i of each m in 0..2**level - 1."""
-    m = np.arange(2 ** level, dtype=np.int64)
-    out = np.zeros_like(m)
-    for i in range(level):
-        out += ((m >> i) & 1) * np.int64(base) ** i
-    return out
 
 
 def lambda4_frequency_columns(level: int):
@@ -130,23 +121,24 @@ def shannon_reconstruct(samples: Mapping[int, complex], t):
     return complex(out[0]) if scalar else out
 
 
-def parseval_table(k: int, max_level: int, min_level: int = 1) -> list[tuple[int, float]]:
-    """Defect per level, accumulated incrementally so the sequence is exactly monotone.
+def parseval_table(k: int, max_level: int) -> list[tuple[int, float]]:
+    """Defect per level 1..max_level, accumulated incrementally so the
+    sequence is exactly monotone.
 
     Each level only adds nonnegative terms to the running Bessel sum, so the
-    returned defects never increase even at the rounding level.
+    returned defects never increase even at the rounding level.  The level-L
+    frequencies are the first 2**L of the level-``max_level`` set, so the set
+    is built once and each level reads its new half.
     """
-    if not 1 <= min_level <= max_level <= MAX_PARSEVAL_LEVEL:
-        raise ValueError(f"levels must satisfy 1 <= min <= max <= {MAX_PARSEVAL_LEVEL}")
+    if not 1 <= max_level <= MAX_PARSEVAL_LEVEL:
+        raise ValueError(f"max_level must be in 1..{MAX_PARSEVAL_LEVEL}")
+    lam = lambda4_set(max_level).astype(float)
     rows: list[tuple[int, float]] = []
     total = 0.0
     previous = 0
     for level in range(1, max_level + 1):
-        lam = lambda4_set(level)
-        fresh = lam[previous:]
-        previous = lam.shape[0]
-        amp = cantor4_fourier(float(k) - fresh.astype(float))
+        amp = cantor4_fourier(float(k) - lam[previous:2 ** level])
+        previous = 2 ** level
         total += float(np.sum(np.abs(amp) ** 2))
-        if level >= min_level:
-            rows.append((level, 1.0 - total))
+        rows.append((level, 1.0 - total))
     return rows

@@ -415,7 +415,7 @@ def test_sinc_point_beyond_band_bound_is_a_domain_error(command, capsys):
 
 def test_emit_names_the_nonfinite_field():
     report = run(parse_config(["shannon"]))
-    report.tables["grid_errors"]["rows"][3][1] = float("inf")
+    report["tables"]["grid_errors"]["rows"][3][1] = float("inf")
     for fmt in ("json", "csv"):
         with pytest.raises(ValueError, match=r"tables\.grid_errors\.rows\[3\]\[1\] is not"):
             emit(report, fmt)
@@ -423,7 +423,7 @@ def test_emit_names_the_nonfinite_field():
 
 def test_emit_names_a_nan_in_a_row():
     report = run(parse_config(["factorize"]))
-    report.tables["factorization_deviation"]["rows"][5][2] = float("nan")
+    report["tables"]["factorization_deviation"]["rows"][5][2] = float("nan")
     with pytest.raises(ValueError, match=r"tables\.factorization_deviation\.rows\[5\]\[2\] is"):
         emit(report, "json")
 
@@ -487,7 +487,7 @@ def test_isometry_draws_each_trial_in_stream_order(points):
     c = np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(7)])
     form = np.conj(build_section(SzegoKernel(), builtin_grid(n, SzegoKernel())).gram)
     native = np.real(np.sum(np.conj(c) * (c @ form.T), axis=-1)).tolist()
-    assert [row[1] for row in run(cfg).tables["isometry_trials"]["rows"]] == native
+    assert [row[1] for row in run(cfg)["tables"]["isometry_trials"]["rows"]] == native
 
 
 def test_pd_check_run(capsys):
@@ -539,9 +539,9 @@ def test_pd_check_solves_the_eigenproblem_once(kernel, monkeypatch):
     calls = _spy(monkeypatch, [np.linalg], "eigvalsh")
     report = run(parse_config(["pd-check", "--kernel", kernel]))
     assert len(calls) == 1
-    eigenvalues = [w for _, w in report.tables["eigenvalues"]["rows"]]
+    eigenvalues = [w for _, w in report["tables"]["eigenvalues"]["rows"]]
     assert eigenvalues == sorted(eigenvalues)
-    assert eigenvalues[0] == report.scalars["min_eigenvalue"]
+    assert eigenvalues[0] == report["scalars"]["min_eigenvalue"]
 
 
 def test_cantor_frequency_matrix_built_once_per_run(monkeypatch):
@@ -579,17 +579,24 @@ def test_every_table_cell_is_a_python_number(command):
     # emission handles Python values only: a numpy scalar anywhere in a report
     # would fail the JSON encoder or print as np.float64(...) in a CSV cell
     report = run(parse_config([command]))
-    assert all(type(v) in (str, int, float) for v in report.config.values()), report.config
-    assert all(type(v) in (int, float) for v in report.scalars.values()), report.scalars
-    for verdict in report.verdicts:
+    assert all(type(v) in (str, int, float) for v in report["config"].values()), report["config"]
+    assert all(type(v) in (int, float) for v in report["scalars"].values()), report["scalars"]
+    for verdict in report["verdicts"]:
         assert [type(verdict[k]) for k in ("name", "value", "tolerance", "passed")] == [
             str, float, float, bool], verdict
-    assert report.tables
-    for table in report.tables.values():
+    assert report["tables"]
+    for table in report["tables"].values():
         # rows are lists, not tuples, because readers edit them in place
         for row in table["rows"]:
             assert type(row) is list and len(row) == len(table["columns"])
             assert all(type(cell) in (int, float) for cell in row), (command, row)
+
+
+@pytest.mark.parametrize("command", sorted(rkboundary.cli._RUNNERS))
+def test_report_is_the_document_it_emits(command):
+    report = run(parse_config([command]))
+    assert set(report) == {"command", "config", "scalars", "tables", "verdicts", "version"}
+    assert json.loads(emit(report)) == report
 
 
 def test_every_verdict_pairs_value_and_tolerance(capsys):

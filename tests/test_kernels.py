@@ -13,6 +13,7 @@ from rkboundary import (
     ExplicitFeatureKernel,
     ExplicitGramKernel,
     NotHermitianError,
+    NotPositiveSemidefiniteError,
     SectionError,
     SincKernel,
     SzegoKernel,
@@ -241,6 +242,17 @@ def test_explicit_gram_kernel_requires_psd():
         ExplicitGramKernel(np.array([[1.0, 2.0], [2.0, 1.0]]))
     k = ExplicitGramKernel(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert k(0, 1) == 1.0
+
+
+def test_explicit_gram_kernel_applies_the_pd_check_threshold():
+    # eigenvalue -5e-11 at diagonal 1e-6: -5e-5 relative, far below pd_check's
+    # -1e-10 relative threshold, so build_section would refuse the same matrix
+    tiny = 1e-6 * np.array([[1.0, 1.00005], [1.00005, 1.0]])
+    assert not pd_check(tiny).passed
+    with pytest.raises(NotPositiveSemidefiniteError, match="kernel matrix has eigenvalue"):
+        ExplicitGramKernel(tiny)
+    ExplicitGramKernel(np.zeros((1, 1)))
+    ExplicitGramKernel(1e-6 * np.eye(2))
 
 
 # -- pd_check ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Quadrature measures, the Cantor transform, and pushforwards."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -74,6 +75,16 @@ def test_cantor_ifs_atoms_frozen():
     assert np.array_equal(mu1.weights, [0.5, 0.5])
     mu2 = cantor_ifs(2)
     assert np.array_equal(mu2.nodes, [0.0, 0.125, 0.5, 0.625])
+
+
+@pytest.mark.parametrize("depth", range(1, 11))
+def test_cantor_ifs_atoms_are_exact_digit_sums(depth):
+    # every atom sum_k d_k 4^-k with d_k in {0, 2}, in increasing order
+    exact = sorted(
+        sum(Fraction(2 * ((m >> (depth - k)) & 1), 4 ** k) for k in range(1, depth + 1))
+        for m in range(2 ** depth)
+    )
+    assert [Fraction(x) for x in cantor_ifs(depth).nodes.tolist()] == exact
 
 
 def test_cantor_ifs_depth_guard():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import rkboundary.reconstruct
+
 from rkboundary import (
     lambda4_set,
     parseval_table,
@@ -127,9 +129,9 @@ def test_blocked_cantor_onb_gaps_match_full_matrix(level):
     np.fill_diagonal(off, 0.0)
     row_max = np.max(off, axis=1)
     report = run(parse_config(["cantor-onb", "--level", str(level)]))
-    assert report.scalars["max_diagonal_gap"] == max_diag
-    assert report.scalars["max_offdiagonal"] == np.max(row_max)
-    assert report.tables["row_max_offdiagonal"]["rows"] == [
+    assert report["scalars"]["max_diagonal_gap"] == max_diag
+    assert report["scalars"]["max_offdiagonal"] == np.max(row_max)
+    assert report["tables"]["row_max_offdiagonal"]["rows"] == [
         [int(f), float(m)] for f, m in zip(lam, row_max)]
 
 
@@ -157,11 +159,11 @@ def test_parseval_defect_zero_for_members():
 
 
 def test_parseval_defect_monotone_and_bounded():
-    rows = parseval_table(2, 12, min_level=2)
+    rows = parseval_table(2, 12)
     defects = [d for _, d in rows]
     assert all(-1e-10 <= d <= 1.0 for d in defects)
     assert all(b <= a for a, b in zip(defects, defects[1:]))
-    assert rows[0][0] == 2 and rows[-1][0] == 12
+    assert [level for level, _ in rows] == list(range(1, 13))
 
 
 def test_parseval_table_matches_pointwise_defect():
@@ -170,6 +172,31 @@ def test_parseval_table_matches_pointwise_defect():
         assert rows[level] == pytest.approx(_parseval_defect(2, level), abs=1e-13)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 63, -7])
+@pytest.mark.parametrize("max_level", [1, 2, 5, 12])
+def test_parseval_table_reads_one_frequency_set(k, max_level, monkeypatch):
+    # one set of the largest level, sliced per level, sums the same terms in
+    # the same order as a set rebuilt at every level
+    calls = []
+    original = rkboundary.reconstruct.lambda4_set
+
+    def spy(level):
+        calls.append(level)
+        return original(level)
+
+    monkeypatch.setattr(rkboundary.reconstruct, "lambda4_set", spy)
+    rows = parseval_table(k, max_level)
+    assert calls == [max_level]
+    expected, total = [], 0.0
+    for level in range(1, max_level + 1):
+        fresh = original(level)[2 ** (level - 1) if level > 1 else 0:]
+        total += float(np.sum(np.abs(cantor4_fourier(float(k) - fresh.astype(float))) ** 2))
+        expected.append((level, 1.0 - total))
+    assert rows == expected
+
+
 def test_parseval_level_guard():
     with pytest.raises(ValueError):
         parseval_table(2, 15)
+    with pytest.raises(ValueError):
+        parseval_table(2, 0)
