@@ -29,11 +29,9 @@ from .measures import QuadMeasure, pushforward
 from .reconstruct import MAX_EXACT_LEVEL, lambda4_frequency_columns, lambda4_set
 
 __all__ = [
-    "MEMBERSHIP_TOL",
     "BoundaryMatrix",
     "MembershipReport",
     "ProjectionResult",
-    "MorphismReport",
     "CommutingReport",
     "boundary_gram",
     "membership_defect",
@@ -46,8 +44,6 @@ __all__ = [
     "morphism_check",
     "commuting_diagram_defect",
 ]
-
-MEMBERSHIP_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +109,7 @@ def _quadratic_form(coeffs: np.ndarray, form: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MembershipReport:
-    """Factorization verdict: worst entrywise deviation plus the Carleson estimate.
+    """Factorization measurements: worst entrywise deviation plus the Carleson estimate.
 
     ``deviation`` holds the entrywise |N - conj(G)| and ``eigenvalues`` the
     ascending pencil spectrum whose maximum is the estimate; both are empty,
@@ -124,7 +120,6 @@ class MembershipReport:
 
     defect: float
     carleson_constant: float
-    passed: bool
     deviation: np.ndarray
     eigenvalues: np.ndarray
 
@@ -162,12 +157,8 @@ def boundary_gram(ext: BoundaryExtension, measure: QuadMeasure, section: Section
     return BoundaryMatrix(section, measure, a)
 
 
-def membership_defect(
-    ext: BoundaryExtension,
-    measure: QuadMeasure,
-    section: Section,
-    tol: float = MEMBERSHIP_TOL,
-) -> MembershipReport:
+def membership_defect(ext: BoundaryExtension, measure: QuadMeasure,
+                      section: Section) -> MembershipReport:
     """Compare the boundary product matrix with the conjugated Gram matrix.
 
     The deviation is measured against conj(G): under the toolkit's norm
@@ -188,7 +179,6 @@ def membership_defect(
     return MembershipReport(
         defect=defect,
         carleson_constant=constant,
-        passed=bool(defect < tol),
         deviation=deviation,
         eigenvalues=eigenvalues,
     )
@@ -337,21 +327,10 @@ def onto_residual(
     )
 
 
-@dataclass(frozen=True)
-class MorphismReport:
-    """Atom-by-atom comparison of a pushforward with its intended image measure."""
-
-    passed: bool
-    max_mass_error: float
-
-
-def morphism_check(
-    mu_coarse: QuadMeasure,
-    mu_fine: QuadMeasure,
-    atom_map: Mapping,
-    tol: float = 1e-12,
-) -> MorphismReport:
-    """Verify the image of the fine measure under the atom map is the coarse one.
+def morphism_check(mu_coarse: QuadMeasure, mu_fine: QuadMeasure, atom_map: Mapping) -> float:
+    """Largest atom-by-atom mass gap between the image of the fine measure
+    under the atom map and the coarse measure; zero when the map pushes one
+    onto the other.
 
     The sigma-algebra half of the ordering holds by construction here: the
     fine partition is taken to be the preimage partition of the map, so only
@@ -363,7 +342,7 @@ def morphism_check(
     err = 0.0
     for atom in set(pushed) | set(target):
         err = max(err, abs(pushed.get(atom, 0.0) - target.get(atom, 0.0)))
-    return MorphismReport(passed=bool(err <= tol), max_mass_error=float(err))
+    return err
 
 
 @dataclass(frozen=True)
@@ -389,11 +368,11 @@ def commuting_diagram_defect(
     boundary pairs are expected to factor the kernel (checked by the caller
     via :func:`membership_defect` when in doubt).
     """
-    check = morphism_check(mu_coarse, mu_fine, atom_map)
-    if not check.passed:
+    mass_error = morphism_check(mu_coarse, mu_fine, atom_map)
+    if mass_error > 1e-12:
         raise ValueError(
             "atom map does not push the fine measure onto the coarse one "
-            f"(mass error {check.max_mass_error:.3e})"
+            f"(mass error {mass_error:.3e})"
         )
     coarse_vals = np.atleast_1d(boundary_transform(f, ext_coarse)(mu_coarse.nodes))
     fine_vals = np.atleast_1d(boundary_transform(f, ext_fine)(mu_fine.nodes))

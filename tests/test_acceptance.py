@@ -79,10 +79,9 @@ def test_criterion_01_szego_membership():
     kernel = SzegoKernel()
     section = build_section(kernel, SZEGO_POINTS_10)
     started = time.perf_counter()
-    report = membership_defect(kernel.boundary_extension(), periodic_uniform(2048),
-                               section, tol=1e-10)
+    report = membership_defect(kernel.boundary_extension(), periodic_uniform(2048), section)
     elapsed = time.perf_counter() - started
-    _report(1, "szego-membership", report.passed and elapsed < 1.0,
+    _report(1, "szego-membership", report.defect < 1e-10 and elapsed < 1.0,
             f"defect={report.defect:.3e} tol=1e-10 runtime={elapsed:.3f}s")
 
 
@@ -90,10 +89,9 @@ def test_criterion_02_bargmann_membership():
     kernel = BargmannKernel()
     section = build_section(kernel, BARGMANN_POINTS_6)
     started = time.perf_counter()
-    report = membership_defect(kernel.boundary_extension(), gauss_hermite_plane(64),
-                               section, tol=1e-8)
+    report = membership_defect(kernel.boundary_extension(), gauss_hermite_plane(64), section)
     elapsed = time.perf_counter() - started
-    _report(2, "bargmann-membership", report.passed and elapsed < 5.0,
+    _report(2, "bargmann-membership", report.defect < 1e-8 and elapsed < 5.0,
             f"defect={report.defect:.3e} tol=1e-8 runtime={elapsed:.3f}s")
 
 
@@ -101,10 +99,9 @@ def test_criterion_03_cantor_membership():
     kernel = Cantor4Kernel(level=6)
     section = build_section(kernel, CANTOR_POINTS_6)
     started = time.perf_counter()
-    report = membership_defect(kernel.boundary_extension(), cantor_exact(),
-                               section, tol=1e-10)
+    report = membership_defect(kernel.boundary_extension(), cantor_exact(), section)
     elapsed = time.perf_counter() - started
-    _report(3, "cantor-membership", report.passed and elapsed < 10.0,
+    _report(3, "cantor-membership", report.defect < 1e-10 and elapsed < 10.0,
             f"defect={report.defect:.3e} tol=1e-10 runtime={elapsed:.3f}s")
 
 
@@ -275,12 +272,12 @@ def test_criterion_13_partial_order():
     section = build_section(kernel, [0, 1, 2])
     f = element(section, [1.0 + 0.5j, -0.25j, 0.75])
 
-    morphism = morphism_check(mu_coarse, mu_fine, atom_map)
+    mass_error = morphism_check(mu_coarse, mu_fine, atom_map)
     diagram = commuting_diagram_defect(ext_coarse, ext_fine, mu_coarse, mu_fine, atom_map, f)
-    ok = (morphism.passed and diagram.transform_defect < 1e-12
+    ok = (mass_error <= 1e-12 and diagram.transform_defect < 1e-12
           and diagram.pullback_isometry_defect < 1e-12)
     _report(13, "partial-order", ok,
-            f"mass error={morphism.max_mass_error:.1e} "
+            f"mass error={mass_error:.1e} "
             f"diagram defect={diagram.transform_defect:.1e} "
             f"pullback isometry defect={diagram.pullback_isometry_defect:.1e}")
 

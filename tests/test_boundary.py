@@ -148,17 +148,15 @@ def test_boundary_gram_is_hermitian(rng):
 def test_membership_sinc_band():
     kernel = SincKernel()
     section = build_section(kernel, [-2.0, -1.0, 0.0, 1.0, 2.0])
-    report = membership_defect(kernel.boundary_extension(), band_gauss_legendre(160),
-                               section, tol=1e-12)
-    assert report.passed
+    report = membership_defect(kernel.boundary_extension(), band_gauss_legendre(160), section)
     assert report.defect < 1e-12
     assert report.carleson_constant == pytest.approx(1.0, abs=1e-10)
 
 
 def test_membership_fails_for_scaled_measure():
     kernel, ext, mu, section = szego_setup()
-    report = membership_defect(ext, scale_measure(mu, 2.0), section, tol=1e-8)
-    assert not report.passed
+    report = membership_defect(ext, scale_measure(mu, 2.0), section)
+    assert report.defect > 1e-8
     assert report.defect == pytest.approx(float(np.max(np.abs(section.gram))), rel=1e-10)
 
 
@@ -166,9 +164,9 @@ def test_membership_cantor_ifs_matches_exact():
     # depth >= level makes the IFS refinement exact for these integrands
     kernel = Cantor4Kernel(level=4)
     section = build_section(kernel, spiral_points(4, 0.3, 0.85))
-    exact = membership_defect(kernel.boundary_extension(), cantor_exact(), section, tol=1e-10)
-    refined = membership_defect(kernel.boundary_extension(), cantor_ifs(8), section, tol=1e-10)
-    assert exact.passed and refined.passed
+    exact = membership_defect(kernel.boundary_extension(), cantor_exact(), section)
+    refined = membership_defect(kernel.boundary_extension(), cantor_ifs(8), section)
+    assert exact.defect < 1e-10 and refined.defect < 1e-10
 
 
 # -- isometry ---------------------------------------------------------------
@@ -716,17 +714,16 @@ def refinement_setup():
 
 def test_morphism_check_passes_and_fails():
     _, _, _, mu_coarse, mu_fine, atom_map, _ = refinement_setup()
-    assert morphism_check(mu_coarse, mu_fine, atom_map).passed
-    identity = morphism_check(mu_fine, mu_fine, {i: i for i in range(4)})
-    assert identity.passed and identity.max_mass_error == 0.0
+    assert morphism_check(mu_coarse, mu_fine, atom_map) <= 1e-12
+    assert morphism_check(mu_fine, mu_fine, {i: i for i in range(4)}) == 0.0
     mismatched = atomic([0, 1], [0.75, 0.25])
-    assert not morphism_check(mismatched, mu_fine, atom_map).passed
+    assert morphism_check(mismatched, mu_fine, atom_map) == pytest.approx(0.25)
 
 
 def test_memberships_of_both_boundary_pairs():
     _, ext_coarse, ext_fine, mu_coarse, mu_fine, _, section = refinement_setup()
-    assert membership_defect(ext_coarse, mu_coarse, section, tol=1e-12).passed
-    assert membership_defect(ext_fine, mu_fine, section, tol=1e-12).passed
+    assert membership_defect(ext_coarse, mu_coarse, section).defect < 1e-12
+    assert membership_defect(ext_fine, mu_fine, section).defect < 1e-12
 
 
 def test_commuting_diagram_defect_zero(rng):

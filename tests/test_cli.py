@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,10 @@ from rkboundary.cli import (
     EXIT_USAGE,
     EXIT_VERDICT_FAIL,
     MAX_ISOMETRY_SAMPLES,
+    MAX_PROBES,
     MAX_SCALE,
+    MAX_SHANNON_GRID,
+    MAX_SHANNON_SUPPORT,
     builtin_grid,
     emit,
     main,
@@ -281,6 +285,45 @@ def test_isometry_samples_bound(via, tmp_path, capsys):
     assert main(argv(MAX_ISOMETRY_SAMPLES)) == EXIT_PASS
     rows = json.loads(capsys.readouterr().out)["tables"]["isometry_trials"]["rows"]
     assert len(rows) == MAX_ISOMETRY_SAMPLES == 10_000
+
+
+def _flag_or_config(command, key, value, via, tmp_path):
+    if via == "flag":
+        return [command, f"--{key}={value}"]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({key: value}))
+    return [command, "--config", str(path)]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command, key, bound", [
+    ("shannon", "support", MAX_SHANNON_SUPPORT),
+    ("adjoint-roundtrip", "probes", MAX_PROBES),
+])
+def test_count_bound(command, key, bound, via, tmp_path, capsys):
+    for count in (bound + 1, 10 ** 12):
+        assert main(_flag_or_config(command, key, count, via, tmp_path)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: --{key} must be in 1..{bound}, got {count}\n"
+    assert main(_flag_or_config(command, key, bound, via, tmp_path)) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["config"][key] == bound
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_shannon_grid_point_bound(via, tmp_path, capsys):
+    step = 2.0 ** -10  # dyadic, so the grid's length is exact
+    # one point more than the bound, and about 10**12 points
+    for grid in (f"0:{MAX_SHANNON_GRID * step!r}:{step!r}", "0:1e12:1"):
+        assert main(_flag_or_config("shannon", "grid", grid, via, tmp_path)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"usage error: grid {grid!r} has more than {MAX_SHANNON_GRID} points\n")
+    grid = f"0:{(MAX_SHANNON_GRID - 1) * step!r}:{step!r}"
+    assert main(_flag_or_config("shannon", "grid", grid, via, tmp_path)) == EXIT_PASS
+    rows = json.loads(capsys.readouterr().out)["tables"]["grid_errors"]["rows"]
+    assert len(rows) == MAX_SHANNON_GRID == 5_000
 
 
 def _atomic_file(tmp_path, weights):
@@ -597,6 +640,37 @@ def test_report_is_the_document_it_emits(command):
     report = run(parse_config([command]))
     assert set(report) == {"command", "config", "scalars", "tables", "verdicts", "version"}
     assert json.loads(emit(report)) == report
+
+
+# every command at its defaults, and runs whose verdicts fail or hold zeros
+VERDICT_RUNS = [[command] for command in sorted(rkboundary.cli._RUNNERS)] + [
+    ["carleson", "--scale", "2"],
+    ["carleson", "--points", "grid0"],
+    ["shannon", "--support", "1", "--grid=0:5:1"],
+    ["pd-check", "--points", "grid0"],
+]
+
+
+@pytest.mark.parametrize("argv", VERDICT_RUNS, ids=" ".join)
+def test_verdict_passes_iff_value_at_most_tolerance(argv):
+    report = run(parse_config(argv))
+    for verdict in report["verdicts"]:
+        value, tolerance = verdict["value"], verdict["tolerance"]
+        assert verdict["passed"] == (value <= tolerance), verdict
+        negative_zero = [x for x in (value, tolerance) if x == 0.0 and math.copysign(1.0, x) < 0]
+        assert negative_zero == [], verdict
+    if report["command"] == "pd-check":
+        scalars = report["scalars"]
+        (verdict,) = report["verdicts"]
+        assert verdict["tolerance"] == -scalars["threshold"]
+        assert verdict["passed"] == (scalars["min_eigenvalue"] >= scalars["threshold"])
+
+
+def test_verdict_at_its_tolerance_passes():
+    report = {"verdicts": []}
+    rkboundary.cli._verdict(report, "at", 1e-8, 1e-8)
+    rkboundary.cli._verdict(report, "above", 1e-8, 0.0)
+    assert [v["passed"] for v in report["verdicts"]] == [True, False]
 
 
 def test_every_verdict_pairs_value_and_tolerance(capsys):
