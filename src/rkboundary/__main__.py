@@ -1,6 +1,20 @@
-"""Module entry point: ``python -m rkboundary``."""
+"""Process entry point: ``python -m rkboundary`` and the ``rkboundary`` script."""
 
-from .cli import main
+import gc
+
+from . import cli
+
+
+def main() -> int:
+    """Run the command line with the objects imported so far frozen.
+
+    They live until the process exits, so the collector need not walk them,
+    which it otherwise does mostly at exit.  ``cli.main`` does not freeze,
+    since tests and tools call it in-process.
+    """
+    gc.freeze()
+    return cli.main()
+
 
 if __name__ == "__main__":
     raise SystemExit(main())

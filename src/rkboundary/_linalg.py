@@ -17,8 +17,9 @@ NEGATIVE_TOL = 1e-10
 # require_hermitian: an entrywise gap |A - A^H| above HERMITIAN_TOL of the
 # largest modulus (or one) is not rounding
 HERMITIAN_TOL = 1e-12
-# row_blocks: each complex array that one block of rows holds stays within
-# this, the evaluation and any scratch array beside it alike
+# row_blocks: one complex array of a block of rows stays within this; a caller
+# that holds k block-sized arrays at once passes k times its width, so that
+# their sum stays within it
 BLOCK_BYTES = 1024 * 1024
 
 
@@ -46,9 +47,12 @@ def row_blocks(rows: int, width: int):
     """Slices of ``range(rows)`` whose complex ``(block, width)`` arrays each
     fit in ``BLOCK_BYTES``, or hold three rows where fewer fit.
 
-    The budget bounds each array live at once, not their sum: an extension
-    evaluates a block into one array beside at most two scratch arrays of the
-    same shape.
+    The budget bounds one array.  A caller that holds several block-sized
+    arrays at once counts them in ``width``: the boundary transform and the
+    adjoint pass four times theirs, for an evaluation and the scratch arrays
+    its extension computes it with (the ``cantor4`` product holds the result,
+    its running power p and 1 + p), so their sum fits.  The other callers
+    pass their width alone, since smaller blocks slow their BLAS products.
 
     A block never has one row unless ``rows`` is one: numpy reduces a
     one-row matrix against a vector by another BLAS path, which rounds

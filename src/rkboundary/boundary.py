@@ -188,7 +188,9 @@ def boundary_transform(f: RkhsElement, ext: BoundaryExtension):
     """Boundary-side function b -> sum_j c_j K^B(s_j, b), as a vectorized callable.
 
     The extension is evaluated and reduced one block of boundary points at a
-    time.
+    time, each block sized for the evaluation and up to three scratch arrays
+    beside it.  ``einsum`` reduces a block in a fixed order, so the values do
+    not depend on the BLAS thread count.
     """
     points = f.section.points
     coeffs = f.coeffs
@@ -197,8 +199,8 @@ def boundary_transform(f: RkhsElement, ext: BoundaryExtension):
         arr = np.asarray(b)
         nodes = np.atleast_1d(arr)
         out = np.empty(nodes.shape, dtype=complex)
-        for cols in row_blocks(nodes.shape[0], points.shape[0]):
-            out[cols] = coeffs @ ext(points[:, None], nodes[None, cols])
+        for cols in row_blocks(nodes.shape[0], 4 * points.shape[0]):
+            out[cols] = np.einsum("j,jk->k", coeffs, ext(points[:, None], nodes[None, cols]))
         return complex(out[0]) if arr.ndim == 0 else out
 
     return transform
@@ -242,19 +244,20 @@ def adjoint_apply(boundary_values, ext: BoundaryExtension, measure: QuadMeasure,
 
     ``boundary_values`` is a callable on the quadrature nodes or an array of
     samples aligned with them; ``s`` may be a scalar point or an array.  The
-    extension is evaluated and reduced one block of points at a time.
+    extension is evaluated at every point on one tile of nodes at a time, each
+    tile sized for the evaluation and up to three scratch arrays beside it,
+    and the tiles' sums are accumulated.  ``einsum`` reduces a tile in a fixed
+    order, so the values do not depend on the BLAS thread count.
     """
     if measure.nodes is None:
         raise ValueError("adjoint evaluation needs a node-based measure")
-    fv = _node_samples(boundary_values, measure)
+    weighted = _node_samples(boundary_values, measure) * measure.weights
     arr = np.asarray(s)
     pts = np.atleast_1d(arr)
-    out = np.empty(pts.shape, dtype=complex)
-    for rows in row_blocks(pts.shape[0], measure.nodes.shape[0]):
-        cols = ext(pts[rows, None], measure.nodes[None, :])
-        np.conj(cols, out=cols)
-        np.multiply(cols, measure.weights, out=cols)
-        out[rows] = cols @ fv
+    out = np.zeros(pts.shape, dtype=complex)
+    for tile in row_blocks(measure.nodes.shape[0], 4 * pts.shape[0]):
+        cols = ext(pts[:, None], measure.nodes[None, tile])
+        out += np.einsum("ik,k->i", np.conj(cols, out=cols), weighted[tile])
     return complex(out[0]) if arr.ndim == 0 else out
 
 
@@ -336,7 +339,10 @@ def morphism_check(mu_coarse: QuadMeasure, mu_fine: QuadMeasure, atom_map: Mappi
     fine partition is taken to be the preimage partition of the map, so only
     the mass identity needs checking.
     """
-    image = pushforward(mu_fine, atom_map)
+    return _mass_gap(pushforward(mu_fine, atom_map), mu_coarse)
+
+
+def _mass_gap(image: QuadMeasure, mu_coarse: QuadMeasure) -> float:
     pushed = dict(zip(image.nodes.tolist(), image.weights.tolist()))
     target = dict(zip(mu_coarse.nodes.tolist(), mu_coarse.weights.tolist()))
     err = 0.0
@@ -345,12 +351,16 @@ def morphism_check(mu_coarse: QuadMeasure, mu_fine: QuadMeasure, atom_map: Mappi
     return err
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommutingReport:
-    """Agreement of the two boundary transforms through a refining atom map."""
+    """Agreement of the two boundary transforms through a refining atom map,
+    with the image of the fine measure and its mass gap to the coarse one
+    (see :func:`morphism_check`)."""
 
     transform_defect: float
     pullback_isometry_defect: float
+    mass_error: float
+    image: QuadMeasure
 
 
 def commuting_diagram_defect(
@@ -368,7 +378,8 @@ def commuting_diagram_defect(
     boundary pairs are expected to factor the kernel (checked by the caller
     via :func:`membership_defect` when in doubt).
     """
-    mass_error = morphism_check(mu_coarse, mu_fine, atom_map)
+    image = pushforward(mu_fine, atom_map)
+    mass_error = _mass_gap(image, mu_coarse)
     if mass_error > 1e-12:
         raise ValueError(
             "atom map does not push the fine measure onto the coarse one "
@@ -387,4 +398,6 @@ def commuting_diagram_defect(
     return CommutingReport(
         transform_defect=transform_defect,
         pullback_isometry_defect=abs(fine_sq - coarse_sq),
+        mass_error=mass_error,
+        image=image,
     )

@@ -27,7 +27,6 @@ from .boundary import (
     commuting_diagram_defect,
     isometry_norms,
     membership_defect,
-    morphism_check,
     onto_residual,
 )
 from .gaussian import build_ensemble, covariance_gap, empirical_covariance
@@ -52,7 +51,6 @@ from .measures import (
     cantor_ifs,
     gauss_hermite_plane,
     periodic_uniform,
-    pushforward,
     scale_measure,
 )
 from .reconstruct import (
@@ -87,6 +85,18 @@ MAX_SHANNON_GRID = 5_000
 # probes times measure nodes, and 1000 probes take about 0.65 s at the
 # defaults and 3.2 s on a 200-point cantor4 level-20 section on cantor-ifs:14
 MAX_PROBES = 1_000
+# a measure descriptor's size above these is a usage error.  The slowest
+# command at each bound, with every other setting at its default, on a 2-CPU
+# host: uniform:131072 adjoint-roundtrip --kernel cantor4 0.56 s (project
+# peaks at 118 MB); gauss-hermite:256 (65536 nodes) adjoint-roundtrip 0.47 s;
+# cantor-ifs:17 adjoint-roundtrip --kernel cantor4 0.58 s, or 4.4 s with 1000
+# probes; band:2000 factorize 0.96 s and 97 MB, most of it numpy's O(n^3)
+# Gauss-Legendre rule.  Gauss-Hermite weights underflow to zero from 371
+# nodes per axis.
+MAX_UNIFORM_NODES = 2 ** 17
+MAX_GAUSS_HERMITE_ORDER = 256
+MAX_CANTOR_IFS_DEPTH = 17
+MAX_BAND_NODES = 2_000
 
 # Settings that depend on the kernel resolve only when the run builds its
 # objects, so they stay out of the config echo.
@@ -428,18 +438,18 @@ def make_measure(cfg: argparse.Namespace):
     kind, _, param = desc.partition(":")
     try:
         if kind == "uniform":
-            measure = periodic_uniform(int(param or 2048))
+            measure = periodic_uniform(_measure_size(param, 2048, MAX_UNIFORM_NODES))
         elif kind == "gauss-hermite":
-            measure = gauss_hermite_plane(int(param or 64))
+            measure = gauss_hermite_plane(_measure_size(param, 64, MAX_GAUSS_HERMITE_ORDER))
         elif kind == "cantor-ifs":
-            measure = cantor_ifs(int(param or 12))
+            measure = cantor_ifs(_measure_size(param, 12, MAX_CANTOR_IFS_DEPTH))
         elif kind == "cantor-exact":
             if cfg.kernel == "cantor4" and _kernel_setting(cfg, "level") > MAX_EXACT_LEVEL:
                 raise UsageError(f"--level must be at most {MAX_EXACT_LEVEL} on the exact "
                                  "Cantor measure; use cantor-ifs:DEPTH above it")
             measure = cantor_exact()
         elif kind == "band":
-            measure = band_gauss_legendre(int(param or 160))
+            measure = band_gauss_legendre(_measure_size(param, 160, MAX_BAND_NODES))
         elif kind == "atomic":
             measure = _atomic_from_file(param)
         else:
@@ -454,6 +464,13 @@ def make_measure(cfg: argparse.Namespace):
             raise UsageError(f"bad measure descriptor {desc!r}: its weights total more "
                              f"than {MAX_SCALE:g} after scaling")
     return measure
+
+
+def _measure_size(param: str, default: int, bound: int) -> int:
+    size = int(param or default)
+    if size > bound:
+        raise ValueError(f"its size must be at most {bound}, got {size}")
+    return size
 
 
 def _atomic_from_file(path: str):
@@ -756,18 +773,17 @@ def morphism_demo():
 
 def _run_morphism(cfg: argparse.Namespace, report: dict) -> None:
     _, ext_coarse, ext_fine, mu_coarse, mu_fine, atom_map, section, f = morphism_demo()
-    mass_error = morphism_check(mu_coarse, mu_fine, atom_map)
+    diagram = commuting_diagram_defect(ext_coarse, ext_fine, mu_coarse, mu_fine, atom_map, f)
     coarse_member = membership_defect(ext_coarse, mu_coarse, section)
     fine_member = membership_defect(ext_fine, mu_fine, section)
-    diagram = commuting_diagram_defect(ext_coarse, ext_fine, mu_coarse, mu_fine, atom_map, f)
-    image = pushforward(mu_fine, atom_map)
     report["scalars"] = {
-        "pushforward_mass_error": mass_error,
+        "pushforward_mass_error": diagram.mass_error,
         "transform_defect": diagram.transform_defect,
         "pullback_isometry_defect": diagram.pullback_isometry_defect,
     }
-    report["tables"]["pushforward_masses"] = _table(["atom", "mass"], image.nodes, image.weights)
-    _verdict(report, "pushforward", mass_error, cfg.tol)
+    report["tables"]["pushforward_masses"] = _table(
+        ["atom", "mass"], diagram.image.nodes, diagram.image.weights)
+    _verdict(report, "pushforward", diagram.mass_error, cfg.tol)
     _verdict(report, "coarse-membership", coarse_member.defect, cfg.tol)
     _verdict(report, "fine-membership", fine_member.defect, cfg.tol)
     _verdict(report, "commuting-diagram", diagram.transform_defect, cfg.tol)

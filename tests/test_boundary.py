@@ -1,5 +1,7 @@
 """Boundary factorization, isometries, Carleson pencils, projections, morphisms."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -416,13 +418,27 @@ def test_blocked_adjoint_matches_one_shot(kernel, mu, sampler, rng):
     ext = kernel.boundary_extension()
     width = mu.nodes.shape[0]
     fv = rng.standard_normal(width) + 1j * rng.standard_normal(width)
-    full = block_rows(width)
-    for count in (1, 2, full - 1, full, full + 1, 2 * full + 1):
+    eps = np.finfo(float).eps
+    for count in (1, 2, 3, 50, 120):
         probes = sampler(rng, count)
-        one_shot = (np.conj(ext(probes[:, None], mu.nodes[None, :])) * mu.weights) @ fv
-        assert np.array_equal(adjoint_apply(fv, ext, mu, probes), one_shot), count
+        terms = np.conj(ext(probes[:, None], mu.nodes[None, :])) * (mu.weights * fv)
+        exact = np.array([complex(math.fsum(t.real), math.fsum(t.imag)) for t in terms])
+        tiles = list(row_blocks(width, 4 * count))
+        tile = max(b.stop - b.start for b in tiles)
+        # Each term is a complex product, within sqrt(5) u |t_k| of the exact
+        # product (u = eps / 2), on both sides: 5 u |t_k| apart.  A term then
+        # passes through at most tile - 1 additions inside its tile and
+        # len(tiles) more into the running sum, so each of the real and the
+        # imaginary sums is within gamma_(tile + tiles) <= (tile + tiles) u
+        # (1 + 1e-9) of its own sum of moduli, which sum_k |t_k| bounds by
+        # sqrt(2) in all; fsum rounds each part once more, within u.  Hence
+        # |adjoint - exact| <= (sqrt(2) (tile + tiles + 1) + 5) u sum_k |t_k|,
+        # below (tile + tiles + 6) eps sum_k |t_k|.
+        bound = (tile + len(tiles) + 6) * eps * np.sum(np.abs(terms), axis=-1)
+        got = adjoint_apply(fv, ext, mu, probes)
+        assert np.all(np.abs(got - exact) <= bound), count
         if count == 1:
-            assert adjoint_apply(fv, ext, mu, probes[0]) == one_shot[0]
+            assert adjoint_apply(fv, ext, mu, probes[0]) == got[0]
 
 
 @pytest.mark.parametrize("kernel, mu, sampler", ADJOINT_PAIRS,
@@ -431,32 +447,33 @@ def test_blocked_transform_matches_one_shot(kernel, mu, sampler, rng):
     ext = kernel.boundary_extension()
     section = build_section(kernel, sampler(rng, 6))
     f = element(section, rng.standard_normal(6) + 1j * rng.standard_normal(6))
-    full = block_rows(section.size)
+    # a block holds the evaluation beside up to three scratch arrays
+    full = block_rows(4 * section.size)
     for count in (1, 2, full - 1, full, full + 1, 2 * full + 1):
         b = np.resize(mu.nodes, count)  # the nodes, repeated as often as needed
         vals = ext(section.points[:, None], b[None, :])
         one_shot = f.coeffs @ vals
-        # BLAS reduces c @ vals a few columns at a time and the last columns
-        # of a block by another path, so a block boundary may move a column
-        # by rounding: each side is within 6 eps sum_j |c_j K^B(s_j, b)| of
-        # the exact sum over the 6 points
+        # einsum sums each column's 6 terms in order and BLAS reduces c @ vals
+        # in its own order, so the two may differ by rounding: each side is
+        # within 6 eps sum_j |c_j K^B(s_j, b)| of the exact sum over the 6
+        # points
         bound = 12 * np.finfo(float).eps * (np.abs(f.coeffs) @ np.abs(vals))
-        gap = np.abs(boundary_transform(f, ext)(b) - one_shot)
-        assert np.all(gap <= bound), count
+        transformed = boundary_transform(f, ext)(b)
+        assert np.all(np.abs(transformed - one_shot) <= bound), count
         if count == 1:
-            assert boundary_transform(f, ext)(b[0]) == one_shot[0]
+            assert boundary_transform(f, ext)(b[0]) == transformed[0]
 
 
 def test_cantor_adjoint_process_peak(tmp_path):
-    # 50 probes against 16384 nodes held a 13 MB evaluation and its
-    # temporaries at once: the process peaked at about 102 MB; with the
-    # transform unblocked and 2 MiB adjoint blocks, each evaluation beside up
-    # to six Cantor-product temporaries, about 51 MB
+    # 50 probes against 16384 nodes peak at about 40 MB, with node tiles
+    # sized so that the evaluation and the Cantor product's scratch arrays
+    # fit in 1 MiB together: about 43 MB when 1 MiB bounded each array alone,
+    # 102 MB with the whole 13 MB evaluation held at once
     code, max_rss_kb = cli_process_peak(
         "adjoint-roundtrip", "--kernel", "cantor4", "--measure", "cantor-ifs:14",
         "--out", str(tmp_path / "adjoint.json"))
     assert code == 0
-    assert max_rss_kb < 46_000
+    assert max_rss_kb < 41_000
 
 
 def test_cantor_project_process_peak(tmp_path):

@@ -1,6 +1,7 @@
 """Command-line driver: parsing, dispatch, report emission, determinism."""
 
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -18,11 +19,15 @@ from rkboundary.cli import (
     EXIT_PASS,
     EXIT_USAGE,
     EXIT_VERDICT_FAIL,
+    MAX_BAND_NODES,
+    MAX_CANTOR_IFS_DEPTH,
+    MAX_GAUSS_HERMITE_ORDER,
     MAX_ISOMETRY_SAMPLES,
     MAX_PROBES,
     MAX_SCALE,
     MAX_SHANNON_GRID,
     MAX_SHANNON_SUPPORT,
+    MAX_UNIFORM_NODES,
     builtin_grid,
     emit,
     main,
@@ -311,6 +316,26 @@ def test_count_bound(command, key, bound, via, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("kernel, kind, bound", [
+    ("szego", "uniform", MAX_UNIFORM_NODES),
+    ("bargmann", "gauss-hermite", MAX_GAUSS_HERMITE_ORDER),
+    ("cantor4", "cantor-ifs", MAX_CANTOR_IFS_DEPTH),
+    ("sinc", "band", MAX_BAND_NODES),
+])
+def test_measure_size_bound(kernel, kind, bound, via, tmp_path, capsys):
+    base = ["--kernel", kernel]
+    desc = f"{kind}:{bound + 1}"
+    assert main(_flag_or_config("factorize", "measure", desc, via, tmp_path) + base) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"usage error: bad measure descriptor {desc!r}: its size must be "
+                            f"at most {bound}, got {bound + 1}\n")
+    desc = f"{kind}:{bound}"
+    assert main(_flag_or_config("factorize", "measure", desc, via, tmp_path) + base) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["config"]["measure"] == desc
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
 def test_shannon_grid_point_bound(via, tmp_path, capsys):
     step = 2.0 ** -10  # dyadic, so the grid's length is exact
     # one point more than the bound, and about 10**12 points
@@ -394,6 +419,26 @@ def test_cli_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
     assert done.returncode == 0
+
+
+def test_in_process_main_does_not_freeze_the_collector(capsys):
+    before = gc.get_freeze_count()
+    assert main(["morphism"]) == EXIT_PASS
+    assert gc.get_freeze_count() == before
+
+
+def test_process_entry_freezes_the_collector(tmp_path):
+    # the entry that python -m rkboundary and the console script share
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import gc, sys; from rkboundary.__main__ import main; "
+            f"sys.argv[1:] = ['morphism', '--out', {str(tmp_path / 'm.json')!r}]; "
+            "code = main(); print(code, gc.get_freeze_count() > 0)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.stdout.split() == ["0", "True"]
+    pyproject = (src.parent / "pyproject.toml").read_text()
+    assert 'rkboundary = "rkboundary.__main__:main"' in pyproject
 
 
 def test_gp_run(capsys):
@@ -596,6 +641,16 @@ def test_cantor_frequency_matrix_built_once_per_run(monkeypatch):
                       "--level", "7", "--samples", "20"]))
     # one evaluation on the 3^7 distinct frequency differences, none on the 2^7 x 2^7 matrix
     assert [np.shape(t) for (t,) in calls] == [(3 ** 7,)]
+
+
+def test_morphism_pushes_forward_once_per_run(monkeypatch):
+    import rkboundary
+
+    owners = [rkboundary.cli, rkboundary.boundary, rkboundary.measures]
+    calls = _spy(monkeypatch, owners, "pushforward")
+    report = run(parse_config(["morphism"]))
+    assert len(calls) == 1
+    assert [v["passed"] for v in report["verdicts"]] == [True] * 5
 
 
 # -- emission -----------------------------------------------------------------
