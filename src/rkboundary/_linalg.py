@@ -48,7 +48,7 @@ def row_blocks(rows: int, width: int):
     fit in ``BLOCK_BYTES``, or hold three rows where fewer fit.
 
     The budget bounds one array.  A caller that holds several block-sized
-    arrays at once counts them in ``width``: the boundary transform and the
+    arrays at once counts them in ``width``: :func:`blocked_sum` and the
     adjoint pass four times theirs, for an evaluation and the scratch arrays
     its extension computes it with (the ``cantor4`` product holds the result,
     its running power p and 1 + p), so their sum fits.  The other callers
@@ -67,6 +67,24 @@ def row_blocks(rows: int, width: int):
             stop -= 1
         yield slice(start, stop)
         start = stop
+
+
+def blocked_sum(coeffs, points, rule, t):
+    """The sum over j of c_j rule(s_j, t) at a scalar or an array t.
+
+    ``rule(s, t)`` broadcasts over a column of points s and a row of t: a
+    kernel, a boundary extension or the cardinal sinc.  The rule is evaluated
+    and reduced one block of t at a time, each block sized for the evaluation
+    and up to three scratch arrays beside it.  ``einsum`` reduces a block in
+    a fixed order on one thread, so the values do not depend on the BLAS
+    thread count.
+    """
+    arr = np.asarray(t)
+    pts = np.atleast_1d(arr)
+    out = np.empty(pts.shape, dtype=complex)
+    for cols in row_blocks(pts.shape[0], 4 * points.shape[0]):
+        out[cols] = np.einsum("j,jk->k", coeffs, rule(points[:, None], pts[None, cols]))
+    return complex(out[0]) if arr.ndim == 0 else out
 
 
 def pivoted_cholesky(matrix):

@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._linalg import NotPositiveSemidefiniteError, pivoted_cholesky, row_blocks
+from ._linalg import NotPositiveSemidefiniteError, blocked_sum, pivoted_cholesky, row_blocks
 from .kernels import (
     BoundaryExtension,
     Cantor4Kernel,
@@ -185,25 +185,9 @@ def membership_defect(ext: BoundaryExtension, measure: QuadMeasure,
 
 
 def boundary_transform(f: RkhsElement, ext: BoundaryExtension):
-    """Boundary-side function b -> sum_j c_j K^B(s_j, b), as a vectorized callable.
-
-    The extension is evaluated and reduced one block of boundary points at a
-    time, each block sized for the evaluation and up to three scratch arrays
-    beside it.  ``einsum`` reduces a block in a fixed order, so the values do
-    not depend on the BLAS thread count.
-    """
-    points = f.section.points
-    coeffs = f.coeffs
-
-    def transform(b):
-        arr = np.asarray(b)
-        nodes = np.atleast_1d(arr)
-        out = np.empty(nodes.shape, dtype=complex)
-        for cols in row_blocks(nodes.shape[0], 4 * points.shape[0]):
-            out[cols] = np.einsum("j,jk->k", coeffs, ext(points[:, None], nodes[None, cols]))
-        return complex(out[0]) if arr.ndim == 0 else out
-
-    return transform
+    """Boundary-side function b -> sum_j c_j K^B(s_j, b), as a vectorized callable
+    summed by :func:`~rkboundary._linalg.blocked_sum`."""
+    return lambda b: blocked_sum(f.coeffs, f.section.points, ext, b)
 
 
 def isometry_norms(bmat: BoundaryMatrix, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -385,8 +369,8 @@ def commuting_diagram_defect(
             "atom map does not push the fine measure onto the coarse one "
             f"(mass error {mass_error:.3e})"
         )
-    coarse_vals = np.atleast_1d(boundary_transform(f, ext_coarse)(mu_coarse.nodes))
-    fine_vals = np.atleast_1d(boundary_transform(f, ext_fine)(mu_fine.nodes))
+    coarse_vals = boundary_transform(f, ext_coarse)(mu_coarse.nodes)
+    fine_vals = boundary_transform(f, ext_fine)(mu_fine.nodes)
     index_of = {atom: i for i, atom in enumerate(mu_coarse.nodes.tolist())}
     pulled = np.asarray(
         [coarse_vals[index_of[atom_map[b]]] for b in mu_fine.nodes.tolist()],

@@ -468,8 +468,8 @@ def make_measure(cfg: argparse.Namespace):
 
 def _measure_size(param: str, default: int, bound: int) -> int:
     size = int(param or default)
-    if size > bound:
-        raise ValueError(f"its size must be at most {bound}, got {size}")
+    if not 1 <= size <= bound:
+        raise ValueError(f"its size must be in 1..{bound}, got {size}")
     return size
 
 
@@ -710,16 +710,14 @@ def _run_shannon(cfg: argparse.Namespace, report: dict) -> None:
     grid = np.arange(start, stop + step / 2, step)
     if grid.size == 0:
         raise UsageError(f"grid {cfg.grid!r} is empty: stop lies below start")
-    samples = {n: float(np.sinc(n - cfg.shift)) for n in range(-cfg.support, cfg.support + 1)}
-    reconstructed = shannon_reconstruct(samples, grid)
+    values = np.sinc(np.arange(-cfg.support, cfg.support + 1) - cfg.shift)
+    reconstructed = shannon_reconstruct(values, grid)
     errors = np.abs(reconstructed - np.sinc(grid - cfg.shift))
     worst = float(np.max(errors))
     # the series returns the stored sample exactly at integers of the support
     stored_mask = (grid == np.rint(grid)) & (np.abs(grid) <= cfg.support)
-    integer_gap = 0.0
-    if np.any(stored_mask):
-        stored = np.asarray([samples[int(t)] for t in grid[stored_mask]])
-        integer_gap = float(np.max(np.abs(reconstructed[stored_mask] - stored)))
+    stored = values[grid[stored_mask].astype(int) + cfg.support]
+    integer_gap = float(np.max(np.abs(reconstructed[stored_mask] - stored), initial=0.0))
     report["scalars"] = {"max_error": worst, "max_integer_gap": integer_gap}
     report["tables"]["grid_errors"] = _table(["t", "abs_error"], grid, errors)
     _verdict(report, "reconstruction", worst, cfg.tol)

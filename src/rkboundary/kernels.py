@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._linalg import NotPositiveSemidefiniteError, require_hermitian
+from ._linalg import NotPositiveSemidefiniteError, blocked_sum, require_hermitian
 from .reconstruct import MAX_LAMBDA_LEVEL
 
 __all__ = [
@@ -529,10 +529,7 @@ def h_norm_sq(f: RkhsElement) -> float:
 
 def evaluate_element(f: RkhsElement, t):
     """Pointwise value sum_j c_j K(s_j, t); t may be a scalar or an array."""
-    arr = np.asarray(t)
-    vals = f.section.kernel(f.section.points[:, None], np.atleast_1d(arr)[None, :])
-    out = f.coeffs @ vals
-    return complex(out[0]) if arr.ndim == 0 else out
+    return blocked_sum(f.coeffs, f.section.points, f.section.kernel, t)
 
 
 def dist_k(kernel: Kernel, s, t):

@@ -3,11 +3,9 @@ the exponential basis of the quarter-Cantor measure."""
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
-from ._linalg import row_blocks
+from ._linalg import blocked_sum, row_blocks
 from .measures import _bits_in_base, cantor4_fourier
 
 __all__ = [
@@ -90,35 +88,27 @@ def lambda4_orthonormality_gaps(level: int) -> tuple[np.ndarray, float, np.ndarr
     return lam, max_diag, row_max
 
 
-def shannon_reconstruct(samples: Mapping[int, complex], t):
-    """Truncated cardinal series sum_n f(n) sinc(t - n) over the stored support.
+def shannon_reconstruct(values, t):
+    """Truncated cardinal series sum_n f(n) sinc(t - n) over n = -S..S.
 
-    ``samples`` maps integers to sample values.  At integers inside the
-    support the stored sample is returned exactly (sinc is 1 at zero and
-    vanishes at the other integers); elsewhere the truncation error is the
-    usual tail of the full bilateral series.  The series is summed one block
-    of evaluation points at a time.
+    ``values`` is the odd-length array of samples f(-S), ..., f(S), aligned
+    with the integers of the support.  At integers inside the support the
+    stored sample is returned exactly (sinc is 1 at zero and vanishes at the
+    other integers); elsewhere the truncation error is the usual tail of the
+    full bilateral series.  The series is summed by
+    :func:`~rkboundary._linalg.blocked_sum`.
     """
+    vals = np.asarray(values)
+    if vals.ndim != 1 or vals.shape[0] % 2 == 0:
+        raise ValueError("samples must be one odd-length array f(-S), ..., f(S), "
+                         f"got shape {vals.shape}")
+    support = vals.shape[0] // 2
     tt = np.asarray(t, dtype=float)
-    scalar = tt.ndim == 0
     pts = np.atleast_1d(tt)
-    if not samples:
-        out = np.zeros(pts.shape, dtype=complex)
-        return complex(out[0]) if scalar else out
-    support = sorted(int(n) for n in samples)
-    if any(int(n) != n for n in samples):
-        raise ValueError("sample support must consist of integers")
-    ns = np.asarray(support, dtype=float)
-    vals = np.asarray([samples[n] for n in support], dtype=complex)
-    out = np.empty(pts.shape, dtype=complex)
-    for rows in row_blocks(pts.shape[0], ns.shape[0]):
-        out[rows] = np.sinc(pts[rows, None] - ns[None, :]) @ vals
-    nearest = np.rint(pts)
-    for idx in np.nonzero(pts == nearest)[0]:
-        n = int(nearest[idx])
-        if n in samples:
-            out[idx] = complex(samples[n])
-    return complex(out[0]) if scalar else out
+    out = blocked_sum(vals, np.arange(-support, support + 1.0), lambda n, x: np.sinc(x - n), pts)
+    stored = (pts == np.rint(pts)) & (np.abs(pts) <= support)
+    out[stored] = vals[pts[stored].astype(int) + support]
+    return complex(out[0]) if tt.ndim == 0 else out
 
 
 def parseval_table(k: int, max_level: int) -> list[tuple[int, float]]:

@@ -324,12 +324,14 @@ def test_count_bound(command, key, bound, via, tmp_path, capsys):
 ])
 def test_measure_size_bound(kernel, kind, bound, via, tmp_path, capsys):
     base = ["--kernel", kernel]
-    desc = f"{kind}:{bound + 1}"
-    assert main(_flag_or_config("factorize", "measure", desc, via, tmp_path) + base) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (f"usage error: bad measure descriptor {desc!r}: its size must be "
-                            f"at most {bound}, got {bound + 1}\n")
+    for size in (0, bound + 1):
+        desc = f"{kind}:{size}"
+        argv = _flag_or_config("factorize", "measure", desc, via, tmp_path) + base
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"usage error: bad measure descriptor {desc!r}: its size must "
+                                f"be in 1..{bound}, got {size}\n")
     desc = f"{kind}:{bound}"
     assert main(_flag_or_config("factorize", "measure", desc, via, tmp_path) + base) == EXIT_PASS
     assert json.loads(capsys.readouterr().out)["config"]["measure"] == desc
@@ -439,6 +441,24 @@ def test_process_entry_freezes_the_collector(tmp_path):
     assert done.stdout.split() == ["0", "True"]
     pyproject = (src.parent / "pyproject.toml").read_text()
     assert 'rkboundary = "rkboundary.__main__:main"' in pyproject
+
+
+@pytest.mark.parametrize("argv", [
+    ["shannon"],
+    ["adjoint-roundtrip"],
+    ["adjoint-roundtrip", "--kernel", "cantor4", "--measure", "cantor-ifs:14"],
+], ids=["shannon", "adjoint-roundtrip", "adjoint-roundtrip-cantor4"])
+def test_report_bytes_do_not_depend_on_blas_threads(argv):
+    # each sum these reports hold is reduced by einsum, which does not thread
+    src = Path(__file__).resolve().parent.parent / "src"
+    reports = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-m", "rkboundary", *argv], env=env,
+                              capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        reports.add(done.stdout)
+    assert len(reports) == 1
 
 
 def test_gp_run(capsys):

@@ -1,5 +1,7 @@
 """Frequency sets, cardinal-series interpolation, Cantor-basis coefficients."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -73,43 +75,66 @@ def test_lambda4_digit_recursion():
 
 # -- cardinal series ----------------------------------------------------------
 
+def _sinc_samples(support, shift=0.3):
+    """Samples of sinc(. - shift) at -support..support."""
+    return np.sinc(np.arange(-support, support + 1) - shift)
+
+
 def test_shannon_exact_at_stored_integers():
-    samples = {n: float(np.sinc(n - 0.3)) for n in range(-50, 51)}
+    samples = _sinc_samples(50)
     for n in (-50, -3, 0, 7, 50):
-        assert shannon_reconstruct(samples, float(n)) == samples[n]
+        assert shannon_reconstruct(samples, float(n)) == samples[n + 50]
 
 
 def test_shannon_zero_samples():
-    samples = {n: 0.0 for n in range(-10, 11)}
-    assert shannon_reconstruct(samples, 0.4) == 0.0
-    assert shannon_reconstruct({}, 1.3) == 0.0
+    assert shannon_reconstruct(np.zeros(21), 0.4) == 0.0
+    assert shannon_reconstruct(np.zeros(1), 1.3) == 0.0
 
 
 def test_shannon_truncated_error_bound():
-    support = 200
-    samples = {n: float(np.sinc(n - 0.3)) for n in range(-support, support + 1)}
     t = np.arange(-2.0, 2.0001, 0.05)
-    err = np.abs(shannon_reconstruct(samples, t) - np.sinc(t - 0.3))
+    err = np.abs(shannon_reconstruct(_sinc_samples(200), t) - np.sinc(t - 0.3))
     assert float(np.max(err)) < 2e-3
 
 
-def test_shannon_rejects_non_integer_support():
+@pytest.mark.parametrize("samples", [np.zeros(4), np.zeros((3, 3)), np.zeros(0)],
+                         ids=["even-length", "2-d", "empty"])
+def test_shannon_rejects_unaligned_samples(samples):
+    # only an odd-length row f(-S), ..., f(S) is aligned with the integers
     with pytest.raises(ValueError):
-        shannon_reconstruct({0.5: 1.0}, 0.1)
+        shannon_reconstruct(samples, 0.1)
 
 
 @pytest.mark.parametrize("support", [3, 30, 300, 1000, 3000])
 def test_blocked_shannon_matches_one_shot(support, rng):
     ns = np.arange(-support, support + 1, dtype=float)
-    vals = rng.standard_normal(ns.shape) + 1j * rng.standard_normal(ns.shape)
-    samples = dict(zip(range(-support, support + 1), vals))
-    full = block_rows(ns.shape[0])
+    width = ns.shape[0]
+    vals = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+    eps = np.finfo(float).eps
+    # a block holds the evaluation beside up to three scratch arrays
+    full = block_rows(4 * width)
     for count in (1, 2, full - 1, full, full + 1, 2 * full + 1):
         # off the integers, so no stored sample replaces a series value
         t = rng.uniform(-support - 2, support + 2, size=count)
         assert not np.any(t == np.rint(t))
-        one_shot = np.sinc(t[:, None] - ns[None, :]) @ vals
-        assert np.array_equal(shannon_reconstruct(samples, t), one_shot), count
+        terms = vals * np.sinc(t[:, None] - ns[None, :])
+        exact = np.array([complex(math.fsum(r.real), math.fsum(r.imag)) for r in terms])
+        # A complex sample times a real sinc value rounds each part of the
+        # product once, so each part of a term is within u |p_k| of the exact
+        # product p_k (u = eps / 2), here and in the series alike.  All width
+        # terms of a point lie in one block, so the series passes each part
+        # through one product and at most width - 1 additions: each of its
+        # real and imaginary sums is within gamma_width <= width u (1 + 1e-9)
+        # times that part's sum of |p_k| of the exact sum.  The rounded terms
+        # here add u of the same, and fsum rounds each part once more, within
+        # u.  The parts' sums of moduli total at most sqrt(2) sum_k |p_k|, so
+        # |series - exact| <= sqrt(2) (width + 2) u (1 + 1e-9) sum_k |p_k|,
+        # below (width + 1) eps sum_k |t_k| for width >= 5.
+        bound = (width + 1) * eps * np.sum(np.abs(terms), axis=-1)
+        got = shannon_reconstruct(vals, t)
+        assert np.all(np.abs(got - exact) <= bound), count
+        if count == 1:
+            assert shannon_reconstruct(vals, t[0]) == got[0]
 
 
 def test_shannon_process_peak(tmp_path):
