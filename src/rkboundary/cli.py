@@ -16,6 +16,7 @@ import os
 import re
 import sys
 import time
+from collections import namedtuple
 
 import numpy as np
 
@@ -85,26 +86,43 @@ MAX_SHANNON_GRID = 5_000
 # probes times measure nodes, and 1000 probes take about 0.65 s at the
 # defaults and 3.2 s on a 200-point cantor4 level-20 section on cantor-ifs:14
 MAX_PROBES = 1_000
-# a measure descriptor's size above these is a usage error.  The slowest
-# command at each bound, with every other setting at its default, on a 2-CPU
-# host: uniform:131072 adjoint-roundtrip --kernel cantor4 0.56 s (project
-# peaks at 118 MB); gauss-hermite:256 (65536 nodes) adjoint-roundtrip 0.47 s;
-# cantor-ifs:17 adjoint-roundtrip --kernel cantor4 0.58 s, or 4.4 s with 1000
-# probes; band:2000 factorize 0.96 s and 97 MB, most of it numpy's O(n^3)
-# Gauss-Legendre rule.  Gauss-Hermite weights underflow to zero from 371
-# nodes per axis.
-MAX_UNIFORM_NODES = 2 ** 17
-MAX_GAUSS_HERMITE_ORDER = 256
-MAX_CANTOR_IFS_DEPTH = 17
-MAX_BAND_NODES = 2_000
 
-# Settings that depend on the kernel resolve only when the run builds its
-# objects, so they stay out of the config echo.
-_KERNEL_DEFAULTS = {
-    "szego": {"measure": "uniform:2048", "points": "grid10"},
-    "bargmann": {"measure": "gauss-hermite:64", "points": "grid6"},
-    "cantor4": {"measure": "cantor-exact", "points": "grid8", "level": 6},
-    "sinc": {"measure": "band:160", "points": "grid5"},
+
+# A --measure kind that takes a size: its unit-mass constructor, the size of a
+# descriptor that gives none, the largest size, and the node count of a size.
+# Each constructor looks the library function up by name when it is called,
+# so a wrapper bound in the function's place is the one called.
+_MeasureKind = namedtuple("_MeasureKind", "build default bound nodes")
+
+# A size above the bound is a usage error.  The slowest command at each bound,
+# with every other setting at its default, on a 2-CPU host: uniform:131072
+# adjoint-roundtrip --kernel cantor4 0.56 s (project peaks at 118 MB);
+# gauss-hermite:256 (65536 nodes) adjoint-roundtrip 0.47 s; cantor-ifs:17
+# adjoint-roundtrip --kernel cantor4 0.58 s; band:2000 factorize 0.96 s and
+# 97 MB, most of it numpy's O(n^3) Gauss-Legendre rule.  Gauss-Hermite weights
+# underflow to zero from 371 nodes per axis.  The --measure help lists the
+# kinds in this order.
+_MEASURE_KINDS = {
+    "uniform": _MeasureKind(lambda n: periodic_uniform(n), 2048, 2 ** 17, lambda n: n),
+    "gauss-hermite": _MeasureKind(lambda n: gauss_hermite_plane(n), 64, 256, lambda n: n * n),
+    "cantor-ifs": _MeasureKind(lambda n: cantor_ifs(n), 12, 17, lambda n: 2 ** n),
+    "band": _MeasureKind(lambda n: band_gauss_legendre(n), 160, 2_000, lambda n: n),
+}
+
+
+# A --kernel choice: its class, the measure kind and points a run takes when
+# no flag gives them, its truncation level if it has one, and the node measure
+# that replaces a node-free default measure in the commands that sample
+# boundary values at nodes.  These settings resolve only when the run builds
+# its objects, so they stay out of the config echo.
+_Kernel = namedtuple("_Kernel", "cls measure points level node_measure", defaults=(None, None))
+
+_KERNELS = {
+    "szego": _Kernel(SzegoKernel, "uniform", "grid10"),
+    "bargmann": _Kernel(BargmannKernel, "gauss-hermite", "grid6"),
+    "cantor4": _Kernel(Cantor4Kernel, "cantor-exact", "grid8", level=6,
+                       node_measure="cantor-ifs:10"),
+    "sinc": _Kernel(SincKernel, "band", "grid5"),
 }
 
 
@@ -279,15 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, summary, *, tol, kernel=True, measure=True, points=True, seed=False):
         p = sub.add_parser(name, help=summary, exit_on_error=False)
         if kernel:
-            p.add_argument("--kernel", choices=sorted(_KERNEL_DEFAULTS), default="szego")
+            p.add_argument("--kernel", choices=sorted(_KERNELS), default="szego")
             p.add_argument("--level", type=_int_range(1, MAX_LAMBDA_LEVEL), default=None,
                            help="cantor4 truncation level "
-                                f"(default {_KERNEL_DEFAULTS['cantor4']['level']}, "
+                                f"(default {_KERNELS['cantor4'].level}, "
                                 f"at most {MAX_EXACT_LEVEL} on cantor-exact)")
         if measure:
+            sized = [f"{kind}:{k.default}" for kind, k in _MEASURE_KINDS.items()]
             p.add_argument("--measure", default=None,
-                           help="kind[:param], e.g. uniform:2048, gauss-hermite:64, "
-                                "cantor-ifs:12, cantor-exact, band:160, atomic:FILE")
+                           help=f"kind[:param], e.g. {', '.join(sized[:3])}, cantor-exact, "
+                                f"{sized[3]}, atomic:FILE")
             p.add_argument("--scale", type=_scale_factor, default=1.0,
                            help=f"factor on all weights, at most {MAX_SCALE:g} (default %(default)s)")
         if points:
@@ -413,19 +432,14 @@ def _config_flags(path: str) -> list:
 def _kernel_setting(cfg: argparse.Namespace, name: str):
     """The value given for a flag, else the default of the configured kernel."""
     value = getattr(cfg, name)
-    return _KERNEL_DEFAULTS[cfg.kernel][name] if value is None else value
+    return getattr(_KERNELS[cfg.kernel], name) if value is None else value
 
 
 def make_kernel(cfg: argparse.Namespace):
-    if cfg.kernel == "szego":
-        return SzegoKernel()
-    if cfg.kernel == "bargmann":
-        return BargmannKernel()
-    if cfg.kernel == "cantor4":
-        return Cantor4Kernel(level=_kernel_setting(cfg, "level"))
-    if cfg.kernel == "sinc":
-        return SincKernel()
-    raise UsageError(f"unknown kernel {cfg.kernel!r}")
+    entry = _KERNELS[cfg.kernel]
+    if entry.level is None:
+        return entry.cls()
+    return entry.cls(level=_kernel_setting(cfg, "level"))
 
 
 _NODE_REQUIRED_COMMANDS = {"adjoint-roundtrip", "project"}
@@ -433,23 +447,18 @@ _NODE_REQUIRED_COMMANDS = {"adjoint-roundtrip", "project"}
 def make_measure(cfg: argparse.Namespace):
     """The unit measure the descriptor names, scaled by ``--scale``."""
     desc = _kernel_setting(cfg, "measure")
-    if cfg.measure is None and cfg.command in _NODE_REQUIRED_COMMANDS and desc == "cantor-exact":
-        desc = "cantor-ifs:10"  # these commands sample boundary values at nodes
+    if cfg.measure is None and cfg.command in _NODE_REQUIRED_COMMANDS:
+        desc = _KERNELS[cfg.kernel].node_measure or desc
     kind, _, param = desc.partition(":")
     try:
-        if kind == "uniform":
-            measure = periodic_uniform(_measure_size(param, 2048, MAX_UNIFORM_NODES))
-        elif kind == "gauss-hermite":
-            measure = gauss_hermite_plane(_measure_size(param, 64, MAX_GAUSS_HERMITE_ORDER))
-        elif kind == "cantor-ifs":
-            measure = cantor_ifs(_measure_size(param, 12, MAX_CANTOR_IFS_DEPTH))
+        if kind in _MEASURE_KINDS:
+            sized = _MEASURE_KINDS[kind]
+            measure = sized.build(_measure_size(param, sized))
         elif kind == "cantor-exact":
             if cfg.kernel == "cantor4" and _kernel_setting(cfg, "level") > MAX_EXACT_LEVEL:
                 raise UsageError(f"--level must be at most {MAX_EXACT_LEVEL} on the exact "
                                  "Cantor measure; use cantor-ifs:DEPTH above it")
             measure = cantor_exact()
-        elif kind == "band":
-            measure = band_gauss_legendre(_measure_size(param, 160, MAX_BAND_NODES))
         elif kind == "atomic":
             measure = _atomic_from_file(param)
         else:
@@ -466,10 +475,10 @@ def make_measure(cfg: argparse.Namespace):
     return measure
 
 
-def _measure_size(param: str, default: int, bound: int) -> int:
-    size = int(param or default)
-    if not 1 <= size <= bound:
-        raise ValueError(f"its size must be in 1..{bound}, got {size}")
+def _measure_size(param: str, kind) -> int:
+    size = int(param or kind.default)
+    if not 1 <= size <= kind.bound:
+        raise ValueError(f"its size must be in 1..{kind.bound}, got {size}")
     return size
 
 

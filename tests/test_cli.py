@@ -19,15 +19,13 @@ from rkboundary.cli import (
     EXIT_PASS,
     EXIT_USAGE,
     EXIT_VERDICT_FAIL,
-    MAX_BAND_NODES,
-    MAX_CANTOR_IFS_DEPTH,
-    MAX_GAUSS_HERMITE_ORDER,
     MAX_ISOMETRY_SAMPLES,
     MAX_PROBES,
     MAX_SCALE,
     MAX_SHANNON_GRID,
     MAX_SHANNON_SUPPORT,
-    MAX_UNIFORM_NODES,
+    _KERNELS,
+    _MEASURE_KINDS,
     builtin_grid,
     emit,
     main,
@@ -315,12 +313,15 @@ def test_count_bound(command, key, bound, via, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["config"][key] == bound
 
 
+def _node_kind(kernel):
+    """The kind of the node measure a kernel's default runs use."""
+    entry = _KERNELS[kernel]
+    return (entry.node_measure or entry.measure).partition(":")[0]
+
+
 @pytest.mark.parametrize("via", ["flag", "config"])
 @pytest.mark.parametrize("kernel, kind, bound", [
-    ("szego", "uniform", MAX_UNIFORM_NODES),
-    ("bargmann", "gauss-hermite", MAX_GAUSS_HERMITE_ORDER),
-    ("cantor4", "cantor-ifs", MAX_CANTOR_IFS_DEPTH),
-    ("sinc", "band", MAX_BAND_NODES),
+    (kernel, _node_kind(kernel), _MEASURE_KINDS[_node_kind(kernel)].bound) for kernel in _KERNELS
 ])
 def test_measure_size_bound(kernel, kind, bound, via, tmp_path, capsys):
     base = ["--kernel", kernel]
