@@ -74,8 +74,7 @@ _GOLDEN = 0.6180339887498949
 # stay finite at 1e200, and those of the default sections overflow at 1e308
 MAX_SCALE = 1e200
 # isometry --samples above this is a usage error: the report holds one row per
-# trial, and 10**4 trials on a 200-point bargmann section take about 2 s and
-# 200 MB of process memory
+# trial, and 10**4 trials on the default szego section take 0.1-1.1 s
 MAX_ISOMETRY_SAMPLES = 10_000
 # shannon sums 2 * support + 1 terms at each grid point: at both bounds
 # (20001 samples, 5000 points) a run takes about 4 s on a 2-CPU host, and the
@@ -84,8 +83,27 @@ MAX_SHANNON_SUPPORT = 10_000
 MAX_SHANNON_GRID = 5_000
 # adjoint-roundtrip --probes above this is a usage error: the time grows with
 # probes times measure nodes, and 1000 probes take about 0.65 s at the
-# defaults and 3.2 s on a 200-point cantor4 level-20 section on cantor-ifs:14
+# defaults and 1.5 s on the default cantor4 section at level 20 on cantor-ifs:14
 MAX_PROBES = 1_000
+# The sizes a run multiplies are bounded too, before anything is allocated.
+# A section has at most this many points: its Gram matrix and the n**2 report
+# tables grow with the square, and the slowest 500-point run, factorize
+# --kernel cantor4 --level 12 on cantor-exact, takes about 3.3 s and 140 MB.
+MAX_SECTION_POINTS = 500
+# Section points times measure nodes, the entries of the weighted evaluation
+# (32 MiB at the bound).  The node-free exact Cantor route evaluates 2**level
+# <= 4096 frequencies per point, which MAX_EXACT_LEVEL and MAX_SECTION_POINTS
+# bound.
+MAX_POINT_NODES = 2 ** 21
+# isometry --samples times points times (nodes + points): each trial reads one
+# row of the evaluation and one of the Gram matrix per point.  10**4 trials on
+# a 163-point cantor4 level-12 section on cantor-exact take about 2 s and
+# 173 MB.
+MAX_TRIAL_VALUES = 2 ** 28
+# adjoint-roundtrip --probes times measure nodes: 1000 probes on cantor-ifs:14
+# with a 128-point cantor4 level-20 section, at MAX_POINT_NODES as well, take
+# about 1.6 s.
+MAX_PROBE_NODES = 2 ** 24
 
 
 # A --measure kind that takes a size: its unit-mass constructor, the size of a
@@ -444,8 +462,12 @@ def make_kernel(cfg: argparse.Namespace):
 
 _NODE_REQUIRED_COMMANDS = {"adjoint-roundtrip", "project"}
 
-def make_measure(cfg: argparse.Namespace):
-    """The unit measure the descriptor names, scaled by ``--scale``."""
+def make_measure(cfg: argparse.Namespace, points: int = 0):
+    """The unit measure the descriptor names, scaled by ``--scale``.
+
+    ``points`` is the size of the run's section: a run whose products of
+    sizes exceed their bounds is refused before the measure is built.
+    """
     desc = _kernel_setting(cfg, "measure")
     if cfg.measure is None and cfg.command in _NODE_REQUIRED_COMMANDS:
         desc = _KERNELS[cfg.kernel].node_measure or desc
@@ -453,14 +475,21 @@ def make_measure(cfg: argparse.Namespace):
     try:
         if kind in _MEASURE_KINDS:
             sized = _MEASURE_KINDS[kind]
-            measure = sized.build(_measure_size(param, sized))
+            size = _measure_size(param, sized)
+            _check_run_size(cfg, points, sized.nodes(size))
+            measure = sized.build(size)
         elif kind == "cantor-exact":
             if cfg.kernel == "cantor4" and _kernel_setting(cfg, "level") > MAX_EXACT_LEVEL:
                 raise UsageError(f"--level must be at most {MAX_EXACT_LEVEL} on the exact "
                                  "Cantor measure; use cantor-ifs:DEPTH above it")
+            if param:
+                raise UsageError(f"bad measure descriptor {desc!r}: the exact Cantor "
+                                 "measure takes no parameter")
+            _check_run_size(cfg, points, 0)
             measure = cantor_exact()
         elif kind == "atomic":
             measure = _atomic_from_file(param)
+            _check_run_size(cfg, points, measure.nodes.size)
         else:
             raise UsageError(f"unknown measure kind {kind!r}")
         measure = scale_measure(measure, cfg.scale)
@@ -475,10 +504,26 @@ def make_measure(cfg: argparse.Namespace):
     return measure
 
 
-def _measure_size(param: str, kind) -> int:
-    size = int(param or kind.default)
-    if not 1 <= size <= kind.bound:
-        raise ValueError(f"its size must be in 1..{kind.bound}, got {size}")
+def _check_run_size(cfg: argparse.Namespace, points: int, nodes: int) -> None:
+    """Refuse a run on ``points`` section points and ``nodes`` measure nodes
+    whose products of sizes exceed their bounds."""
+    products = [(f"{points} points x {nodes} nodes", points * nodes, MAX_POINT_NODES)]
+    if cfg.command == "isometry":
+        products.append((f"{cfg.samples} samples x {points} points x ({nodes} nodes + "
+                         f"{points} points)", cfg.samples * points * (nodes + points),
+                         MAX_TRIAL_VALUES))
+    if cfg.command == "adjoint-roundtrip":
+        products.append((f"{cfg.probes} probes x {nodes} nodes", cfg.probes * nodes,
+                         MAX_PROBE_NODES))
+    for factors, value, bound in products:
+        if value > bound:
+            raise UsageError(f"{factors} is {value}, more than {bound}")
+
+
+def _measure_size(param: str, sized) -> int:
+    size = int(param or sized.default)
+    if not 1 <= size <= sized.bound:
+        raise ValueError(f"its size must be in 1..{sized.bound}, got {size}")
     return size
 
 
@@ -529,7 +574,7 @@ def make_points(cfg: argparse.Namespace, kernel) -> np.ndarray:
     src = _kernel_setting(cfg, "points")
     match = re.fullmatch(r"grid(\d+)", src)
     if match:
-        return builtin_grid(int(match.group(1)), kernel)
+        return builtin_grid(_section_size(int(match.group(1))), kernel)
     if src.endswith(".json") or os.path.exists(src):
         doc = _read_json(src, "points")
         if isinstance(doc, dict) and "domain" in doc and doc["domain"] != kernel.domain:
@@ -539,10 +584,19 @@ def make_points(cfg: argparse.Namespace, kernel) -> np.ndarray:
             )
         try:
             entries = doc["points"] if isinstance(doc, dict) else doc
-            return np.asarray([_scalar_from_json(x) for x in entries])
+            points = np.asarray([_scalar_from_json(x) for x in entries])
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"points file needs a 'points' list: {exc}") from None
-    return np.asarray([_parse_inline_scalar(tok) for tok in src.split(",") if tok])
+    else:
+        points = np.asarray([_parse_inline_scalar(tok) for tok in src.split(",") if tok])
+    _section_size(points.size)
+    return points
+
+
+def _section_size(count: int) -> int:
+    if count > MAX_SECTION_POINTS:
+        raise UsageError(f"the section has {count} points, more than {MAX_SECTION_POINTS}")
+    return count
 
 
 def _domain_probes(kernel, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -594,7 +648,7 @@ def _boundary_setup(cfg: argparse.Namespace):
     """Section, measure and canonical boundary extension of a section runner."""
     kernel = make_kernel(cfg)
     section = build_section(kernel, make_points(cfg, kernel))
-    return section, make_measure(cfg), kernel.boundary_extension()
+    return section, make_measure(cfg, section.size), kernel.boundary_extension()
 
 
 def _run_pd_check(cfg: argparse.Namespace, report: dict) -> None:

@@ -290,11 +290,12 @@ def test_isometry_samples_bound(via, tmp_path, capsys):
     assert len(rows) == MAX_ISOMETRY_SAMPLES == 10_000
 
 
-def _flag_or_config(command, key, value, via, tmp_path):
+def _flag_or_config(command, settings, via, tmp_path):
+    """An invocation that gives ``settings`` as flags or in a config file."""
     if via == "flag":
-        return [command, f"--{key}={value}"]
+        return [command, *(f"--{key}={value}" for key, value in settings.items())]
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({key: value}))
+    path.write_text(json.dumps(settings))
     return [command, "--config", str(path)]
 
 
@@ -305,11 +306,11 @@ def _flag_or_config(command, key, value, via, tmp_path):
 ])
 def test_count_bound(command, key, bound, via, tmp_path, capsys):
     for count in (bound + 1, 10 ** 12):
-        assert main(_flag_or_config(command, key, count, via, tmp_path)) == EXIT_USAGE
+        assert main(_flag_or_config(command, {key: count}, via, tmp_path)) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"usage error: --{key} must be in 1..{bound}, got {count}\n"
-    assert main(_flag_or_config(command, key, bound, via, tmp_path)) == EXIT_PASS
+    assert main(_flag_or_config(command, {key: bound}, via, tmp_path)) == EXIT_PASS
     assert json.loads(capsys.readouterr().out)["config"][key] == bound
 
 
@@ -327,15 +328,55 @@ def test_measure_size_bound(kernel, kind, bound, via, tmp_path, capsys):
     base = ["--kernel", kernel]
     for size in (0, bound + 1):
         desc = f"{kind}:{size}"
-        argv = _flag_or_config("factorize", "measure", desc, via, tmp_path) + base
+        argv = _flag_or_config("factorize", {"measure": desc}, via, tmp_path) + base
         assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"usage error: bad measure descriptor {desc!r}: its size must "
                                 f"be in 1..{bound}, got {size}\n")
     desc = f"{kind}:{bound}"
-    assert main(_flag_or_config("factorize", "measure", desc, via, tmp_path) + base) == EXIT_PASS
+    assert main(_flag_or_config("factorize", {"measure": desc}, via, tmp_path) + base) == EXIT_PASS
     assert json.loads(capsys.readouterr().out)["config"]["measure"] == desc
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("param", ["3", "junk"])
+def test_exact_cantor_measure_takes_no_parameter(param, via, tmp_path, capsys):
+    # the parameter was ignored, and echoed in the report
+    desc = f"cantor-exact:{param}"
+    argv = _flag_or_config("factorize", {"kernel": "cantor4", "measure": desc}, via, tmp_path)
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"usage error: bad measure descriptor {desc!r}: the exact Cantor "
+                            "measure takes no parameter\n")
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command, at_bound, past_bound, message", [
+    # a 30000-point pd-check asked for 13.4 GiB
+    ("pd-check", {"points": "grid500"}, {"points": "grid501"},
+     "the section has 501 points, more than 500"),
+    ("factorize", {"points": "grid16", "measure": "uniform:131072"},
+     {"points": "grid43", "measure": "uniform:48771"},
+     "43 points x 48771 nodes is 2097153, more than 2097152"),
+    # no run's product is 2**28 + 1 = 17 * 15790321, so the run past the bound
+    # takes one more trial; 10**4 trials on uniform:131072 took 10.3 s
+    ("isometry", {"points": "grid16", "measure": "uniform:131056", "samples": 128},
+     {"points": "grid16", "measure": "uniform:131056", "samples": 129},
+     "129 samples x 16 points x (131056 nodes + 16 points) is 270532608, more than 268435456"),
+    ("adjoint-roundtrip", {"measure": "uniform:32768", "probes": 512},
+     {"measure": "uniform:24929", "probes": 673},
+     "673 probes x 24929 nodes is 16777217, more than 16777216"),
+], ids=["section", "points-nodes", "trials", "probes-nodes"])
+def test_run_size_bound(command, at_bound, past_bound, message, via, tmp_path, capsys):
+    assert main(_flag_or_config(command, past_bound, via, tmp_path)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+    assert main(_flag_or_config(command, at_bound, via, tmp_path)) == EXIT_PASS
+    echo = json.loads(capsys.readouterr().out)["config"]
+    assert {key: echo[key] for key in at_bound} == at_bound
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])
@@ -343,13 +384,13 @@ def test_shannon_grid_point_bound(via, tmp_path, capsys):
     step = 2.0 ** -10  # dyadic, so the grid's length is exact
     # one point more than the bound, and about 10**12 points
     for grid in (f"0:{MAX_SHANNON_GRID * step!r}:{step!r}", "0:1e12:1"):
-        assert main(_flag_or_config("shannon", "grid", grid, via, tmp_path)) == EXIT_USAGE
+        assert main(_flag_or_config("shannon", {"grid": grid}, via, tmp_path)) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
             f"usage error: grid {grid!r} has more than {MAX_SHANNON_GRID} points\n")
     grid = f"0:{(MAX_SHANNON_GRID - 1) * step!r}:{step!r}"
-    assert main(_flag_or_config("shannon", "grid", grid, via, tmp_path)) == EXIT_PASS
+    assert main(_flag_or_config("shannon", {"grid": grid}, via, tmp_path)) == EXIT_PASS
     rows = json.loads(capsys.readouterr().out)["tables"]["grid_errors"]["rows"]
     assert len(rows) == MAX_SHANNON_GRID == 5_000
 

@@ -43,15 +43,22 @@ def test_traced_subcommands_close_spans_and_count(monkeypatch, tmp_path):
     counted = {name for _, _, name, counter in spans.TARGETS if counter is not None}
     counted.add("kernels.extension")
     recorder = spans.Recorder()
+    codes = {}
     with spans.Tracer(recorder):
-        codes = {command: cli.main([command, "--out", str(tmp_path / command)])
-                 for command in cli._RUNNERS}
+        for command in cli._RUNNERS:
+            recorder.op = command
+            codes[command] = cli.main([command, "--out", str(tmp_path / command)])
     assert codes == dict.fromkeys(cli._RUNNERS, cli.EXIT_PASS)
     assert all(span.end is not None for span in recorder.spans)
     missing = {span.name for span in recorder.spans if span.name in counted and not span.counts}
     assert missing == set()
     table = spans.layer_table(recorder.spans)
     assert {"cli.run", "cli.emit", "kernels.extension", "boundary.boundary_gram"} <= set(table)
+    # each command that integrates over a measure builds it through a wrapped
+    # constructor, which it sees only while the CLI calls constructors by name
+    built = {span.op for span in recorder.spans if span.name == "measures.quadrature"}
+    assert built == {"factorize", "isometry", "carleson", "adjoint-roundtrip", "project",
+                     "morphism"}
     json.dumps(recorder.dump())
 
 
@@ -71,6 +78,20 @@ def test_readme_constants_import_from_the_package():
     named = set(re.findall(r"`([A-Z][A-Z0-9]*_[A-Z0-9_]+)`", readme))
     assert named >= {"MAX_EXACT_LEVEL", "BARGMANN_MAX_MODULUS", "SINC_BAND_MAX_POINT"}
     assert named <= set(rkboundary.__all__)
+
+
+def test_readme_names_the_cli_tables():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for kind, entry in cli._MEASURE_KINDS.items():
+        assert re.search(rf"`{kind}:[A-Z]+`\s+at\s+most\s+{entry.bound}\b", readme), kind
+    # the kernel zoo's rows, below its header and rule
+    rows = readme.split("## The kernel zoo", 1)[1].split("\n\n")[1].splitlines()[2:]
+    canonical = {}
+    for row in rows:
+        kernel = re.match(r"\| `(\w+)`", row).group(1)
+        measure = row.rsplit("|", 2)[1]  # the last cell; the domain cells escape their bars
+        canonical[kernel] = re.search(r"`([a-z-]+)", measure).group(1)
+    assert canonical == {name: entry.measure for name, entry in cli._KERNELS.items()}
 
 
 def test_readme_library_example_runs():
