@@ -88,7 +88,7 @@ MAX_PROBES = 1_000
 # The sizes a run multiplies are bounded too, before anything is allocated.
 # A section has at most this many points: its Gram matrix and the n**2 report
 # tables grow with the square, and the slowest 500-point run, factorize
-# --kernel cantor4 --level 12 on cantor-exact, takes about 3.3 s and 140 MB.
+# --kernel cantor4 --level 12 on cantor-exact, takes 3.3-3.8 s and 140 MB.
 MAX_SECTION_POINTS = 500
 # Section points times measure nodes, the entries of the weighted evaluation
 # (32 MiB at the bound).  The node-free exact Cantor route evaluates 2**level
@@ -321,10 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 f"(default {_KERNELS['cantor4'].level}, "
                                 f"at most {MAX_EXACT_LEVEL} on cantor-exact)")
         if measure:
-            sized = [f"{kind}:{k.default}" for kind, k in _MEASURE_KINDS.items()]
+            examples = [f"{kind}:{k.default}" for kind, k in _MEASURE_KINDS.items()]
             p.add_argument("--measure", default=None,
-                           help=f"kind[:param], e.g. {', '.join(sized[:3])}, cantor-exact, "
-                                f"{sized[3]}, atomic:FILE")
+                           help=f"kind[:param], e.g. {', '.join(examples[:3])}, cantor-exact, "
+                                f"{examples[3]}, atomic:FILE")
             p.add_argument("--scale", type=_scale_factor, default=1.0,
                            help=f"factor on all weights, at most {MAX_SCALE:g} (default %(default)s)")
         if points:

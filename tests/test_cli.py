@@ -361,7 +361,7 @@ def test_exact_cantor_measure_takes_no_parameter(param, via, tmp_path, capsys):
      {"points": "grid43", "measure": "uniform:48771"},
      "43 points x 48771 nodes is 2097153, more than 2097152"),
     # no run's product is 2**28 + 1 = 17 * 15790321, so the run past the bound
-    # takes one more trial; 10**4 trials on uniform:131072 took 10.3 s
+    # takes one more trial; 10**4 trials on uniform:131072 took about 10 s
     ("isometry", {"points": "grid16", "measure": "uniform:131056", "samples": 128},
      {"points": "grid16", "measure": "uniform:131056", "samples": 129},
      "129 samples x 16 points x (131056 nodes + 16 points) is 270532608, more than 268435456"),
