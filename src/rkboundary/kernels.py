@@ -47,7 +47,6 @@ __all__ = [
     "element",
     "h_norm_sq",
     "evaluate_element",
-    "dist_k",
     "DEFAULT_PSD_TOL",
     "DUPLICATE_DIST_TOL",
     "BARGMANN_MAX_MODULUS",
@@ -530,13 +529,3 @@ def h_norm_sq(f: RkhsElement) -> float:
 def evaluate_element(f: RkhsElement, t):
     """Pointwise value sum_j c_j K(s_j, t); t may be a scalar or an array."""
     return blocked_sum(f.coeffs, f.section.points, f.section.kernel, t)
-
-
-def dist_k(kernel: Kernel, s, t):
-    """Kernel metric sqrt(K(s,s) + K(t,t) - 2 Re K(s,t)), clamped at zero."""
-    kss = np.real(kernel(s, s))
-    ktt = np.real(kernel(t, t))
-    kst = np.real(kernel(s, t))
-    sq = np.clip(kss + ktt - 2.0 * kst, 0.0, None)
-    out = np.sqrt(sq)
-    return float(out) if np.ndim(out) == 0 else out

@@ -36,6 +36,13 @@ def cli_process_peak(*argv):
     return code, max_rss_kb
 
 
+def kernel_dist(kernel, s, t):
+    """The kernel metric sqrt(K(s,s) + K(t,t) - 2 Re K(s,t)) from kernel values,
+    clamped at zero against rounding."""
+    sq = np.real(kernel(s, s)) + np.real(kernel(t, t)) - 2.0 * np.real(kernel(s, t))
+    return np.sqrt(np.clip(sq, 0.0, None))
+
+
 def spiral_points(n, rmin, rmax):
     """Deterministic low-discrepancy points on an annulus in the plane."""
     k = np.arange(n)

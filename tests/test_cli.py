@@ -485,19 +485,81 @@ def test_process_entry_freezes_the_collector(tmp_path):
     assert 'rkboundary = "rkboundary.__main__:main"' in pyproject
 
 
+def _spawn(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env):
+    """``python -m rkboundary`` on the given streams, with ``env`` added to
+    the environment."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), **env}
+    return subprocess.run([sys.executable, "-m", "rkboundary", *argv], env=env,
+                          stdout=stdout, stderr=stderr, text=True, timeout=60)
+
+
+def _assert_one_write_error(stderr, reason):
+    assert stderr.splitlines() == [f"error: cannot write report: {reason}"]
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="needs the always-full device /dev/full")
+
+
+@needs_dev_full
+def test_report_to_a_full_stdout_exits_3():
+    with open("/dev/full", "w") as full:
+        done = _spawn(["pd-check"], full)
+    assert done.returncode == EXIT_NUMERICAL
+    _assert_one_write_error(done.stderr, "[Errno 28] No space left on device")
+
+
+@pytest.mark.parametrize("argv", [["morphism"], ["factorize", "--points", "grid100"]],
+                         ids=["small", "large"])
+def test_report_to_a_closed_pipe_exits_3(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _spawn(argv, write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == EXIT_NUMERICAL
+    _assert_one_write_error(done.stderr, "[Errno 32] Broken pipe")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv,code", [
+    (["carleson", "--scale", "2"], EXIT_VERDICT_FAIL),
+    (["factorize", "--measure", "bogus:3"], EXIT_USAGE),
+    (["factorize", "--kernel", "nosuch"], EXIT_USAGE),
+], ids=["verdict-fails", "bad-measure", "bad-kernel"])
+def test_full_stderr_keeps_the_exit_code(argv, code):
+    with open("/dev/full", "w") as full:
+        assert _spawn(argv, subprocess.DEVNULL, full).returncode == code
+
+
+@needs_dev_full
+def test_full_stderr_keeps_a_passing_report(tmp_path):
+    out = tmp_path / "pd-check.json"
+    with open("/dev/full", "w") as full:
+        done = _spawn(["pd-check", "--out", str(out)], subprocess.DEVNULL, full)
+    assert done.returncode == EXIT_PASS
+    golden = Path(__file__).resolve().parent / "golden" / "pd-check.json"
+    assert out.read_bytes() == golden.read_bytes()
+
+
 @pytest.mark.parametrize("argv", [
     ["shannon"],
     ["adjoint-roundtrip"],
     ["adjoint-roundtrip", "--kernel", "cantor4", "--measure", "cantor-ifs:14"],
-], ids=["shannon", "adjoint-roundtrip", "adjoint-roundtrip-cantor4"])
+    ["isometry"],
+    ["isometry", "--kernel", "bargmann", "--points", "grid30"],
+], ids=["shannon", "adjoint-roundtrip", "adjoint-roundtrip-cantor4", "isometry",
+        "isometry-bargmann"])
 def test_report_bytes_do_not_depend_on_blas_threads(argv):
-    # each sum these reports hold is reduced by einsum, which does not thread
-    src = Path(__file__).resolve().parent.parent / "src"
+    # the sums of the first three are reduced by einsum, which does not thread;
+    # isometry forms its Gram matrices by BLAS products, whose bytes must not
+    # change with the thread count either
     reports = set()
     for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
-        done = subprocess.run([sys.executable, "-m", "rkboundary", *argv], env=env,
-                              capture_output=True, timeout=60)
+        done = _spawn(argv, OPENBLAS_NUM_THREADS=threads)
         assert done.returncode == 0, done.stderr
         reports.add(done.stdout)
     assert len(reports) == 1
@@ -589,12 +651,14 @@ def test_cantor_onb_run(capsys):
 
 
 def test_cantor_onb_one_level_parseval_table(capsys):
-    # one row has no consecutive differences, so the table is trivially monotone
+    # a one-row table is judged by the bounds of its single defect
     assert main(["cantor-onb", "--parseval-max", "2"]) == EXIT_PASS
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["tables"]["parseval_defects"]["rows"]) == 1
-    verdicts = {v["name"]: v["value"] for v in doc["verdicts"]}
-    assert verdicts["parseval-monotone"] == 0.0
+    verdicts = {v["name"]: v for v in doc["verdicts"]}
+    assert list(verdicts) == ["orthogonality", "unit-norms", "transform-zero-at-one",
+                              "parseval-bounded"]
+    assert verdicts["parseval-bounded"]["passed"]
 
 
 def test_project_run(capsys):

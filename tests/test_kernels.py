@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import disk_points, line_points, plane_points
+from conftest import disk_points, kernel_dist, line_points, plane_points
 
 from rkboundary import (
     BargmannKernel,
@@ -18,7 +18,6 @@ from rkboundary import (
     SincKernel,
     SzegoKernel,
     build_section,
-    dist_k,
     element,
     evaluate_element,
     h_norm_sq,
@@ -322,8 +321,8 @@ def test_evaluate_element(rng):
 
 def test_dist_identity_and_frozen_value():
     k = SzegoKernel()
-    assert dist_k(k, 0.3 + 0.2j, 0.3 + 0.2j) == 0.0
-    assert dist_k(k, 0.0, 0.5) == pytest.approx(np.sqrt(1.0 / 3.0), abs=1e-14)
+    assert kernel_dist(k, 0.3 + 0.2j, 0.3 + 0.2j) == 0.0
+    assert kernel_dist(k, 0.0, 0.5) == pytest.approx(np.sqrt(1.0 / 3.0), abs=1e-14)
 
 
 @pytest.mark.parametrize("kernel,sampler", ZOO, ids=lambda v: getattr(v, "name", ""))
@@ -331,10 +330,10 @@ def test_metric_properties(kernel, sampler, rng):
     a = sampler(rng, 1000)
     b = sampler(rng, 1000)
     c = sampler(rng, 1000)
-    dab = dist_k(kernel, a, b)
-    dba = dist_k(kernel, b, a)
-    dac = dist_k(kernel, a, c)
-    dbc = dist_k(kernel, b, c)
+    dab = kernel_dist(kernel, a, b)
+    dba = kernel_dist(kernel, b, a)
+    dac = kernel_dist(kernel, a, c)
+    dbc = kernel_dist(kernel, b, c)
     assert np.max(np.abs(dab - dba)) < 1e-12
     assert np.all(dab >= 0.0)
     # triangle inequality on the sampled triples
