@@ -199,14 +199,10 @@ def _serialize(doc: dict, fmt: str) -> str:
     if fmt == "json":
         return _json_text(doc)
     if fmt == "csv":
-        lines = [f"# report,{doc['command']},{doc['version']}"]
-        lines.append("# scalars")
-        lines.append("name,value")
+        lines = [f"# report,{doc['command']},{doc['version']}", "# scalars", "name,value"]
         scalars = doc["scalars"]
-        for name in sorted(scalars):
-            lines.append(f"{name},{_cell(scalars[name])}")
-        lines.append("# verdicts")
-        lines.append("name,value,tolerance,passed")
+        lines += [f"{name},{_cell(scalars[name])}" for name in sorted(scalars)]
+        lines += ["# verdicts", "name,value,tolerance,passed"]
         for v in doc["verdicts"]:
             lines.append(
                 f"{v['name']},{_cell(v['value'])},{_cell(v['tolerance'])},{_cell(v['passed'])}"
@@ -877,13 +873,24 @@ def run(config: argparse.Namespace) -> dict:
     return report
 
 
+def _discard(stream) -> None:
+    """Point a standard stream's descriptor at the null device after a failed
+    write.  The bytes left in its buffer then go nowhere at exit, instead of
+    failing the interpreter's last flush, which would make the exit code 120."""
+    with contextlib.suppress(OSError, ValueError):  # an in-memory or closed stream
+        target = stream.fileno()
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, target)
+        os.close(null)
+
+
 def _note(line: str) -> None:
     """Print one line on stderr.  A stderr that cannot be written is ignored,
     so the exit code is always the run's outcome."""
     try:
         print(line, file=sys.stderr, flush=True)
     except OSError:
-        pass
+        _discard(sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -910,6 +917,8 @@ def main(argv=None) -> int:
             stream.write(text)
             stream.flush()
     except OSError as exc:
+        if not config.out:
+            _discard(sys.stdout)
         _note(f"error: cannot write report: {exc}")
         return EXIT_NUMERICAL
     _note(f"# {config.command} finished in {duration_ms:.1f} ms")

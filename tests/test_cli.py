@@ -485,13 +485,16 @@ def test_process_entry_freezes_the_collector(tmp_path):
     assert 'rkboundary = "rkboundary.__main__:main"' in pyproject
 
 
-def _spawn(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env):
+def _spawn(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **env):
     """``python -m rkboundary`` on the given streams, with ``env`` added to
-    the environment."""
+    the environment.  The child keeps Python's default stream buffering, as
+    an installed script has it, since a failed write leaves bytes buffered
+    only then."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src), **env}
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run([sys.executable, "-m", "rkboundary", *argv], env=env,
-                          stdout=stdout, stderr=stderr, text=True, timeout=60)
+                          stdout=stdout, stderr=stderr, text=text, timeout=60)
 
 
 def _assert_one_write_error(stderr, reason):
@@ -559,8 +562,8 @@ def test_report_bytes_do_not_depend_on_blas_threads(argv):
     # change with the thread count either
     reports = set()
     for threads in ("1", "2"):
-        done = _spawn(argv, OPENBLAS_NUM_THREADS=threads)
-        assert done.returncode == 0, done.stderr
+        done = _spawn(argv, text=False, OPENBLAS_NUM_THREADS=threads)
+        assert done.returncode == 0, done.stderr.decode()
         reports.add(done.stdout)
     assert len(reports) == 1
 
