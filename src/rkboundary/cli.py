@@ -873,35 +873,25 @@ def run(config: argparse.Namespace) -> dict:
     return report
 
 
-def _discard(stream) -> None:
-    """Point a standard stream's descriptor at the null device after a failed
-    write.  The bytes left in its buffer then go nowhere at exit, instead of
-    failing the interpreter's last flush, which would make the exit code 120."""
-    with contextlib.suppress(OSError, ValueError):  # an in-memory or closed stream
-        target = stream.fileno()
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, target)
-        os.close(null)
-
-
 def _note(line: str) -> None:
     """Print one line on stderr.  A stderr that cannot be written is ignored,
     so the exit code is always the run's outcome."""
-    try:
+    with contextlib.suppress(OSError):
         print(line, file=sys.stderr, flush=True)
-    except OSError:
-        _discard(sys.stderr)
 
 
 def main(argv=None) -> int:
+    text, out, note = "", None, None
     try:
         config = parse_config(argv)
         started = time.perf_counter()
         report = run(config)
-        duration_ms = (time.perf_counter() - started) * 1000.0
-        text = emit(report, config.fmt)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        note = f"# {config.command} finished in {(time.perf_counter() - started) * 1000.0:.1f} ms"
+        text, out = emit(report, config.fmt), config.out
+        passed = all(v["passed"] for v in report["verdicts"])
+        code = EXIT_PASS if passed else EXIT_VERDICT_FAIL
+    except SystemExit as exc:  # help or version text, left in stdout's buffer, or a usage error
+        code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except UsageError as exc:
         _note(f"usage error: {exc}")
         return EXIT_USAGE
@@ -912,15 +902,13 @@ def main(argv=None) -> int:
         _note(f"error: {type(exc).__name__}: {exc}")
         return EXIT_NUMERICAL
     try:
-        with (open(config.out, "w", encoding="utf-8") if config.out
+        with (open(out, "w", encoding="utf-8") if out
               else contextlib.nullcontext(sys.stdout)) as stream:
             stream.write(text)
             stream.flush()
     except OSError as exc:
-        if not config.out:
-            _discard(sys.stdout)
         _note(f"error: cannot write report: {exc}")
         return EXIT_NUMERICAL
-    _note(f"# {config.command} finished in {duration_ms:.1f} ms")
-    passed = all(v["passed"] for v in report["verdicts"])
-    return EXIT_PASS if passed else EXIT_VERDICT_FAIL
+    if note:
+        _note(note)
+    return code

@@ -1,7 +1,6 @@
 """Command-line driver: parsing, dispatch, report emission, determinism."""
 
 import dataclasses
-import gc
 import json
 import math
 import os
@@ -465,26 +464,6 @@ def test_cli_import_loads_no_scipy():
     assert done.returncode == 0
 
 
-def test_in_process_main_does_not_freeze_the_collector(capsys):
-    before = gc.get_freeze_count()
-    assert main(["morphism"]) == EXIT_PASS
-    assert gc.get_freeze_count() == before
-
-
-def test_process_entry_freezes_the_collector(tmp_path):
-    # the entry that python -m rkboundary and the console script share
-    src = Path(__file__).resolve().parent.parent / "src"
-    code = ("import gc, sys; from rkboundary.__main__ import main; "
-            f"sys.argv[1:] = ['morphism', '--out', {str(tmp_path / 'm.json')!r}]; "
-            "code = main(); print(code, gc.get_freeze_count() > 0)")
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert done.stdout.split() == ["0", "True"]
-    pyproject = (src.parent / "pyproject.toml").read_text()
-    assert 'rkboundary = "rkboundary.__main__:main"' in pyproject
-
-
 def _spawn(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **env):
     """``python -m rkboundary`` on the given streams, with ``env`` added to
     the environment.  The child keeps Python's default stream buffering, as
@@ -507,15 +486,20 @@ needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
 
 
 @needs_dev_full
-def test_report_to_a_full_stdout_exits_3():
+@pytest.mark.parametrize("argv", [["pd-check"], ["--help"], ["--version"],
+                                  ["pd-check", "--help"]],
+                         ids=["pd-check", "help", "version", "pd-check-help"])
+def test_report_to_a_full_stdout_exits_3(argv):
+    # argparse writes help and the version unflushed; they are delivered like a report
     with open("/dev/full", "w") as full:
-        done = _spawn(["pd-check"], full)
+        done = _spawn(argv, full)
     assert done.returncode == EXIT_NUMERICAL
     _assert_one_write_error(done.stderr, "[Errno 28] No space left on device")
 
 
-@pytest.mark.parametrize("argv", [["morphism"], ["factorize", "--points", "grid100"]],
-                         ids=["small", "large"])
+@pytest.mark.parametrize("argv", [["morphism"], ["factorize", "--points", "grid100"],
+                                  ["--help"]],
+                         ids=["small", "large", "help"])
 def test_report_to_a_closed_pipe_exits_3(argv):
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -525,6 +509,9 @@ def test_report_to_a_closed_pipe_exits_3(argv):
         os.close(write_end)
     assert done.returncode == EXIT_NUMERICAL
     _assert_one_write_error(done.stderr, "[Errno 32] Broken pipe")
+    # the installed script runs the entry that these spawns of python -m run
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert 'rkboundary = "rkboundary.__main__:main"' in pyproject
 
 
 @needs_dev_full
@@ -532,8 +519,11 @@ def test_report_to_a_closed_pipe_exits_3(argv):
     (["carleson", "--scale", "2"], EXIT_VERDICT_FAIL),
     (["factorize", "--measure", "bogus:3"], EXIT_USAGE),
     (["factorize", "--kernel", "nosuch"], EXIT_USAGE),
-], ids=["verdict-fails", "bad-measure", "bad-kernel"])
+    ([], EXIT_USAGE),
+    (["pd-check", "--bogus"], EXIT_USAGE),
+], ids=["verdict-fails", "bad-measure", "bad-kernel", "no-command", "bad-option"])
 def test_full_stderr_keeps_the_exit_code(argv, code):
+    # the last two are argparse's own usage errors, which it writes unflushed
     with open("/dev/full", "w") as full:
         assert _spawn(argv, subprocess.DEVNULL, full).returncode == code
 
