@@ -300,9 +300,18 @@ def _int_range(low: int, high: int | None = None):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """Ignores a failed write of argparse's own text, as Python 3.11.7+ does,
+    so a usage error exits 2 and ``main`` delivers help and version text."""
+
+    def _print_message(self, message, file=None):
+        with contextlib.suppress(OSError):
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per command; each flag's name, parser, range and default live here."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rkboundary",
         description="Verification runs for boundary measures of positive definite kernels.",
         exit_on_error=False,

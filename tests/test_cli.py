@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import rkboundary.cli
+from rkboundary import __version__
 from rkboundary.cli import (
     EXIT_NUMERICAL,
     EXIT_PASS,
@@ -479,6 +480,18 @@ def _spawn(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **en
 def _assert_one_write_error(stderr, reason):
     assert stderr.splitlines() == [f"error: cannot write report: {reason}"]
     assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"]], ids=["version", "help"])
+def test_help_and_version_reach_a_working_stdout(argv):
+    # the process ends without the interpreter's own flush, so main must deliver them
+    done = _spawn(argv)
+    assert done.returncode == EXIT_PASS
+    assert done.stderr == ""
+    if argv == ["--version"]:
+        assert done.stdout == f"rkboundary {__version__}\n"
+    else:
+        assert done.stdout.startswith("usage: rkboundary ")
 
 
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
