@@ -214,10 +214,7 @@ def isometry_defect(f: RkhsElement, ext: BoundaryExtension, measure: QuadMeasure
 
 
 def _node_samples(boundary_values, measure: QuadMeasure) -> np.ndarray:
-    fv = np.asarray(
-        boundary_values(measure.nodes) if callable(boundary_values) else boundary_values,
-        dtype=complex,
-    )
+    fv = np.asarray(boundary_values, dtype=complex)
     if fv.shape != measure.nodes.shape:
         raise ValueError("boundary samples must align with the quadrature nodes")
     return fv
@@ -226,11 +223,11 @@ def _node_samples(boundary_values, measure: QuadMeasure) -> np.ndarray:
 def adjoint_apply(boundary_values, ext: BoundaryExtension, measure: QuadMeasure, s):
     """Adjoint of the boundary transform: s -> integral conj(K^B(s, b)) F(b) dmu(b).
 
-    ``boundary_values`` is a callable on the quadrature nodes or an array of
-    samples aligned with them; ``s`` may be a scalar point or an array.  The
-    extension is evaluated at every point on one tile of nodes at a time, each
-    tile sized for the evaluation and up to three scratch arrays beside it,
-    and the tiles' sums are accumulated.  ``einsum`` reduces a tile in a fixed
+    ``boundary_values`` is an array of samples aligned with the quadrature
+    nodes; ``s`` may be a scalar point or an array.  The extension is
+    evaluated at every point on one tile of nodes at a time, each tile sized
+    for the evaluation and up to three scratch arrays beside it, and the
+    tiles' sums are accumulated.  ``einsum`` reduces a tile in a fixed
     order, so the values do not depend on the BLAS thread count.
     """
     if measure.nodes is None:
@@ -285,14 +282,15 @@ def onto_residual(
 ) -> ProjectionResult:
     """Project boundary samples onto span{K^B(s_j, .)} in L2 of the measure.
 
-    Minimizes ||sqrt(w) F - c A|| over c, with A the weighted evaluation of
-    the boundary matrix, without forming the normal equations, which square
-    the condition of A.  The R factor of the QR of [A^T, sqrt(w) F] has the
-    form [[R, z], [0, rho]], with no rho row when there are at most n nodes;
-    the SVD R = U S V^H keeps the singular values above numpy's ``lstsq``
-    cutoff S_0 eps max(nodes, n), their count is the rank r, and
-    c = V_r (U_r^H z / S_r) is the minimum-norm fit.  The residual, the
-    quadrature of |F - fit|^2, is the sum of squares
+    ``boundary_values`` is an array F of samples aligned with the quadrature
+    nodes.  Minimizes ||sqrt(w) F - c A|| over c, with A the weighted
+    evaluation of the boundary matrix, without forming the normal equations,
+    which square the condition of A.  The R factor of the QR of
+    [A^T, sqrt(w) F] has the form [[R, z], [0, rho]], with no rho row when
+    there are at most n nodes; the SVD R = U S V^H keeps the singular values
+    above numpy's ``lstsq`` cutoff S_0 eps max(nodes, n), their count is the
+    rank r, and c = V_r (U_r^H z / S_r) is the minimum-norm fit.  The
+    residual, the quadrature of |F - fit|^2, is the sum of squares
     sqrt(rho^2 + ||U_perp^H z||^2), so it lies in [0, ||F||] up to rounding.
     An empty section has the empty fit: no coefficients, rank 0, residual ||F||.
     """

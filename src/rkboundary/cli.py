@@ -301,8 +301,12 @@ def _int_range(low: int, high: int | None = None):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Ignores a failed write of argparse's own text, as Python 3.11.7+ does,
-    so a usage error exits 2 and ``main`` delivers help and version text."""
+    """Raises every invalid invocation as a UsageError, and ignores a failed
+    write of help and version text, as Python 3.11.7+ does, so that ``main``
+    delivers that text like a report."""
+
+    def error(self, message):
+        raise UsageError(message)
 
     def _print_message(self, message, file=None):
         with contextlib.suppress(OSError):
@@ -314,13 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="rkboundary",
         description="Verification runs for boundary measures of positive definite kernels.",
-        exit_on_error=False,
     )
     parser.add_argument("--version", action="version", version=f"rkboundary {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     def command(name, summary, *, tol, kernel=True, measure=True, points=True, seed=False):
-        p = sub.add_parser(name, help=summary, exit_on_error=False)
+        p = sub.add_parser(name, help=summary)
         if kernel:
             p.add_argument("--kernel", choices=sorted(_KERNELS), default="szego")
             p.add_argument("--level", type=_int_range(1, MAX_LAMBDA_LEVEL), default=None,
@@ -413,20 +416,13 @@ def parse_config(argv=None) -> argparse.Namespace:
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = _parse(parser, argv)
+    args = parser.parse_args(argv)
     if args.config:
         at = argv.index(args.command) + 1
-        args = _parse(parser, argv[:at] + _config_flags(args.config) + argv[at:])
+        args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
     if getattr(args, "kernel", None) not in (None, "cantor4") and args.level is not None:
         raise UsageError("--level applies only to --kernel cantor4")
     return args
-
-
-def _parse(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
-    try:
-        return parser.parse_args(argv)
-    except argparse.ArgumentError as exc:
-        raise UsageError(f"{exc.argument_name} {exc.message}") from None
 
 
 def _read_json(path: str, what: str):
@@ -467,13 +463,15 @@ def make_kernel(cfg: argparse.Namespace):
     return entry.cls(level=_kernel_setting(cfg, "level"))
 
 
+# the commands that sample boundary values at the measure's nodes
 _NODE_REQUIRED_COMMANDS = {"adjoint-roundtrip", "project"}
 
 def make_measure(cfg: argparse.Namespace, points: int = 0):
     """The unit measure the descriptor names, scaled by ``--scale``.
 
     ``points`` is the size of the run's section: a run whose products of
-    sizes exceed their bounds is refused before the measure is built.
+    sizes exceed their bounds is refused before the measure is built, and so
+    is a node-free measure in a command that samples at nodes.
     """
     desc = _kernel_setting(cfg, "measure")
     if cfg.measure is None and cfg.command in _NODE_REQUIRED_COMMANDS:
@@ -492,6 +490,9 @@ def make_measure(cfg: argparse.Namespace, points: int = 0):
             if param:
                 raise UsageError(f"bad measure descriptor {desc!r}: the exact Cantor "
                                  "measure takes no parameter")
+            if cfg.command in _NODE_REQUIRED_COMMANDS:
+                raise UsageError(f"{cfg.command} samples boundary values at quadrature nodes; "
+                                 "use a node-based measure (e.g. cantor-ifs:10)")
             _check_run_size(cfg, points, 0)
             measure = cantor_exact()
         elif kind == "atomic":
@@ -718,9 +719,6 @@ def _run_isometry(cfg: argparse.Namespace, report: dict) -> None:
 
 def _run_adjoint_roundtrip(cfg: argparse.Namespace, report: dict) -> None:
     section, measure, ext = _boundary_setup(cfg)
-    if measure.nodes is None:
-        raise UsageError("the round-trip samples boundary values at quadrature nodes; "
-                         "use a node-based measure (e.g. cantor-ifs:10)")
     rng = np.random.default_rng(cfg.seed)
     f = element(section, rng.standard_normal(section.size) + 1j * rng.standard_normal(section.size))
     samples = boundary_transform(f, ext)(measure.nodes)
@@ -736,8 +734,8 @@ def _run_adjoint_roundtrip(cfg: argparse.Namespace, report: dict) -> None:
 
 def _run_project(cfg: argparse.Namespace, report: dict) -> None:
     section, measure, ext = _boundary_setup(cfg)
-    if measure.nodes is None or np.iscomplexobj(measure.nodes):
-        raise UsageError("frequency targets need a node-based real boundary "
+    if np.iscomplexobj(measure.nodes):
+        raise UsageError("frequency targets need a real boundary "
                          "(circle, band, or Cantor atoms)")
     target = np.exp(2j * np.pi * cfg.freq * measure.nodes)
     result = onto_residual(target, ext, measure, section)
@@ -899,8 +897,8 @@ def main(argv=None) -> int:
         text, out = emit(report, config.fmt), config.out
         passed = all(v["passed"] for v in report["verdicts"])
         code = EXIT_PASS if passed else EXIT_VERDICT_FAIL
-    except SystemExit as exc:  # help or version text, left in stdout's buffer, or a usage error
-        code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except SystemExit:  # --help or --version, whose text waits in stdout's buffer
+        code = EXIT_PASS
     except UsageError as exc:
         _note(f"usage error: {exc}")
         return EXIT_USAGE

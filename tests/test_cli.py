@@ -54,6 +54,31 @@ def test_malformed_number_rejected(capsys):
     assert main(["factorize", "--tol", "abc"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv, config", [
+    ([], None),
+    (["no-such-command"], None),
+    (["pd-check", "--bogus"], None),
+    (["factorize", "--tol", "x"], None),
+    (["factorize", "--tol"], None),
+    (["factorize"], {"bogus": 1}),
+], ids=["no-command", "unknown-command", "unknown-flag", "bad-value", "missing-value",
+        "config-key-not-a-flag"])
+def test_every_usage_error_is_one_line(argv, config, tmp_path, capsys):
+    # argparse printed its usage block and "rkboundary: error: ..." for some of
+    # these, and Python 3.13 printed "usage error: None ..." for them
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("usage error: ")
+    assert "None" not in lines[0] and "usage: rkboundary" not in lines[0]
+
+
 def test_defaults_resolved():
     cfg = parse_config(["factorize", "--kernel", "szego"])
     assert cfg.command == "factorize"
@@ -200,16 +225,17 @@ def test_carleson_empty_section(capsys):
     assert doc["verdicts"][0]["value"] == 1.0
 
 
-@pytest.mark.parametrize("argv", [
-    ["factorize", "--kernel", "cantor4", "--level", "15"],
-    ["isometry", "--kernel", "cantor4", "--measure", "cantor-exact", "--level", "13"],
-    ["cantor-onb", "--level", "13"],
-])
-def test_exact_cantor_route_above_size_limit_is_usage_error(argv, capsys):
+@pytest.mark.parametrize("argv, start", [
+    (["factorize", "--kernel", "cantor4", "--level", "15"], "usage error: --level must be"),
+    (["isometry", "--kernel", "cantor4", "--measure", "cantor-exact", "--level", "13"],
+     "usage error: --level must be"),
+    (["cantor-onb", "--level", "13"], "usage error: argument --level: must be"),
+], ids=["argv0", "argv1", "argv2"])
+def test_exact_cantor_route_above_size_limit_is_usage_error(argv, start, capsys):
     started = time.perf_counter()
     assert main(argv) == EXIT_USAGE
     assert time.perf_counter() - started < 5.0
-    assert capsys.readouterr().err.startswith("usage error: --level must be")
+    assert capsys.readouterr().err.startswith(start)
 
 
 def test_project_empty_section(capsys):
@@ -221,9 +247,12 @@ def test_project_empty_section(capsys):
 
 
 def test_adjoint_roundtrip_node_free_measure_is_usage_error(capsys):
-    argv = ["adjoint-roundtrip", "--kernel", "cantor4", "--measure", "cantor-exact"]
-    assert main(argv) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("usage error:")
+    for command in ("adjoint-roundtrip", "project"):
+        assert main([command, "--kernel", "cantor4", "--measure", "cantor-exact"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"usage error: {command} samples boundary values at quadrature "
+                                "nodes; use a node-based measure (e.g. cantor-ifs:10)\n")
 
 
 @pytest.mark.parametrize("argv, key, value", [
@@ -250,7 +279,7 @@ def test_out_of_range_value_is_usage_error(argv, key, value, tmp_path, capsys):
     path.write_text(json.dumps({key: value}))
     assert main(argv + ["--config", str(path)]) == EXIT_USAGE
     from_file = capsys.readouterr().err
-    assert from_flag.startswith(f"usage error: {flag} must be")
+    assert from_flag.startswith(f"usage error: argument {flag}: must be")
     assert from_file == from_flag
 
 
@@ -264,7 +293,7 @@ def test_scale_bound(command, capsys):
     assert main([command, "--scale", "1e308"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "usage error: --scale must be at most 1e+200, got 1e+308\n"
+    assert captured.err == "usage error: argument --scale: must be at most 1e+200, got 1e+308\n"
     # warnings are errors in this suite, so an overflow at the bound would exit 3
     assert main([command, "--scale", repr(MAX_SCALE)]) in (EXIT_PASS, EXIT_VERDICT_FAIL)
     assert json.loads(capsys.readouterr().out)["config"]["scale"] == MAX_SCALE == 1e200
@@ -284,7 +313,8 @@ def test_isometry_samples_bound(via, tmp_path, capsys):
         assert main(argv(count)) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"usage error: --samples must be in 1..10000, got {count}\n"
+        assert captured.err == (f"usage error: argument --samples: must be in 1..10000, "
+                                f"got {count}\n")
     assert main(argv(MAX_ISOMETRY_SAMPLES)) == EXIT_PASS
     rows = json.loads(capsys.readouterr().out)["tables"]["isometry_trials"]["rows"]
     assert len(rows) == MAX_ISOMETRY_SAMPLES == 10_000
@@ -309,7 +339,8 @@ def test_count_bound(command, key, bound, via, tmp_path, capsys):
         assert main(_flag_or_config(command, {key: count}, via, tmp_path)) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"usage error: --{key} must be in 1..{bound}, got {count}\n"
+        assert captured.err == (f"usage error: argument --{key}: must be in 1..{bound}, "
+                                f"got {count}\n")
     assert main(_flag_or_config(command, {key: bound}, via, tmp_path)) == EXIT_PASS
     assert json.loads(capsys.readouterr().out)["config"][key] == bound
 
@@ -536,7 +567,7 @@ def test_report_to_a_closed_pipe_exits_3(argv):
     (["pd-check", "--bogus"], EXIT_USAGE),
 ], ids=["verdict-fails", "bad-measure", "bad-kernel", "no-command", "bad-option"])
 def test_full_stderr_keeps_the_exit_code(argv, code):
-    # the last two are argparse's own usage errors, which it writes unflushed
+    # the last two are argparse's own usage errors
     with open("/dev/full", "w") as full:
         assert _spawn(argv, subprocess.DEVNULL, full).returncode == code
 
