@@ -21,6 +21,7 @@ from ._linalg import NotPositiveSemidefiniteError, blocked_sum, pivoted_cholesky
 from .kernels import (
     BoundaryExtension,
     Cantor4Kernel,
+    DomainError,
     RkhsElement,
     Section,
     SectionError,
@@ -33,6 +34,7 @@ __all__ = [
     "MembershipReport",
     "ProjectionResult",
     "CommutingReport",
+    "check_pair",
     "boundary_gram",
     "membership_defect",
     "isometry_norms",
@@ -124,10 +126,22 @@ class MembershipReport:
     eigenvalues: np.ndarray
 
 
-def _check_pair(ext: BoundaryExtension, section: Section) -> None:
-    if ext.kernel is section.kernel or ext.kernel == section.kernel:
-        return
-    raise SectionError("extension and section are built on different kernels")
+def check_pair(ext: BoundaryExtension, measure: QuadMeasure, section: Section) -> None:
+    """Refuse a boundary pair that cannot serve the section, before anything is built.
+
+    Raises SectionError when the extension is built on another kernel than
+    the section, and DomainError when the measure is off the extension's
+    boundary: the extension refuses its nodes, or it is the node-free exact
+    Cantor measure beside any kernel but the truncated Cantor kernel at
+    level at most ``MAX_EXACT_LEVEL``.
+    """
+    if not (ext.kernel is section.kernel or ext.kernel == section.kernel):
+        raise SectionError("extension and section are built on different kernels")
+    if measure.nodes is not None:
+        ext.validate_boundary(measure.nodes)
+    elif not isinstance(ext.kernel, Cantor4Kernel) or ext.kernel.level > MAX_EXACT_LEVEL:
+        raise DomainError("the exact Cantor measure pairs only with the truncated Cantor "
+                          f"kernel at level at most {MAX_EXACT_LEVEL}")
 
 
 def boundary_gram(ext: BoundaryExtension, measure: QuadMeasure, section: Section) -> BoundaryMatrix:
@@ -141,12 +155,9 @@ def boundary_gram(ext: BoundaryExtension, measure: QuadMeasure, section: Section
     frequencies; the matrix pairs it with the measure's Fourier transform
     instead of quadrature.
     """
-    _check_pair(ext, section)
+    check_pair(ext, measure, section)
     points = section.points
     if measure.nodes is None:
-        if not isinstance(ext.kernel, Cantor4Kernel) or ext.kernel.level > MAX_EXACT_LEVEL:
-            raise ValueError("the exact Cantor measure pairs only with the truncated Cantor "
-                             f"kernel at level at most {MAX_EXACT_LEVEL}")
         lam = lambda4_set(ext.kernel.level)
         return BoundaryMatrix(section, measure, points[:, None] ** lam[None, :])
     nodes = measure.nodes

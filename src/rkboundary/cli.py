@@ -27,6 +27,7 @@ from .boundary import (
     adjoint_apply,
     boundary_gram,
     boundary_transform,
+    check_pair,
     commuting_diagram_defect,
     isometry_norms,
     membership_defect,
@@ -466,12 +467,14 @@ def make_kernel(cfg: argparse.Namespace):
 # the commands that sample boundary values at the measure's nodes
 _NODE_REQUIRED_COMMANDS = {"adjoint-roundtrip", "project"}
 
-def make_measure(cfg: argparse.Namespace, points: int = 0):
-    """The unit measure the descriptor names, scaled by ``--scale``.
+def make_measure(cfg: argparse.Namespace, ext, section):
+    """The unit measure the descriptor names, scaled by ``--scale``, for a run
+    on ``section`` through the boundary extension ``ext``.
 
-    ``points`` is the size of the run's section: a run whose products of
-    sizes exceed their bounds is refused before the measure is built, and so
-    is a node-free measure in a command that samples at nodes.
+    A run whose products of sizes exceed their bounds is refused before the
+    measure is built, and so is a node-free measure in a command that samples
+    at nodes.  A measure off the extension's boundary (see ``check_pair``) is
+    refused once built, and so are complex nodes in ``project``.
     """
     desc = _kernel_setting(cfg, "measure")
     if cfg.measure is None and cfg.command in _NODE_REQUIRED_COMMANDS:
@@ -481,28 +484,29 @@ def make_measure(cfg: argparse.Namespace, points: int = 0):
         if kind in _MEASURE_KINDS:
             sized = _MEASURE_KINDS[kind]
             size = _measure_size(param, sized)
-            _check_run_size(cfg, points, sized.nodes(size))
+            _check_run_size(cfg, section.size, sized.nodes(size))
             measure = sized.build(size)
         elif kind == "cantor-exact":
-            if cfg.kernel == "cantor4" and _kernel_setting(cfg, "level") > MAX_EXACT_LEVEL:
-                raise UsageError(f"--level must be at most {MAX_EXACT_LEVEL} on the exact "
-                                 "Cantor measure; use cantor-ifs:DEPTH above it")
             if param:
                 raise UsageError(f"bad measure descriptor {desc!r}: the exact Cantor "
                                  "measure takes no parameter")
             if cfg.command in _NODE_REQUIRED_COMMANDS:
                 raise UsageError(f"{cfg.command} samples boundary values at quadrature nodes; "
                                  "use a node-based measure (e.g. cantor-ifs:10)")
-            _check_run_size(cfg, points, 0)
+            _check_run_size(cfg, section.size, 0)
             measure = cantor_exact()
         elif kind == "atomic":
             measure = _atomic_from_file(param)
-            _check_run_size(cfg, points, measure.nodes.size)
+            _check_run_size(cfg, section.size, measure.nodes.size)
         else:
             raise UsageError(f"unknown measure kind {kind!r}")
         measure = scale_measure(measure, cfg.scale)
+        check_pair(ext, measure, section)
     except ValueError as exc:
         raise UsageError(f"bad measure descriptor {desc!r}: {exc}") from None
+    if cfg.command == "project" and np.iscomplexobj(measure.nodes):
+        raise UsageError("frequency targets need a real boundary "
+                         "(circle, band, or Cantor atoms)")
     if kind == "atomic":  # the other measures carry the mass --scale gives them
         with np.errstate(over="ignore"):
             mass = measure.total_mass
@@ -656,17 +660,18 @@ def _boundary_setup(cfg: argparse.Namespace):
     """Section, measure and canonical boundary extension of a section runner."""
     kernel = make_kernel(cfg)
     section = build_section(kernel, make_points(cfg, kernel))
-    return section, make_measure(cfg, section.size), kernel.boundary_extension()
+    ext = kernel.boundary_extension()
+    return section, make_measure(cfg, ext, section), ext
 
 
 def _run_pd_check(cfg: argparse.Namespace, report: dict) -> None:
     kernel = make_kernel(cfg)
-    points = np.atleast_1d(kernel.validate_points(make_points(cfg, kernel)))
-    verdict = pd_check(kernel.gram(points), cfg.tol)
+    gram = kernel.gram(make_points(cfg, kernel))
+    verdict = pd_check(gram, cfg.tol)
     report["scalars"] = {
         "min_eigenvalue": verdict.min_eigenvalue,
         "threshold": verdict.threshold,
-        "points": int(points.shape[0]),
+        "points": gram.shape[0],
     }
     values = verdict.eigenvalues
     report["tables"]["eigenvalues"] = _table(
@@ -734,9 +739,6 @@ def _run_adjoint_roundtrip(cfg: argparse.Namespace, report: dict) -> None:
 
 def _run_project(cfg: argparse.Namespace, report: dict) -> None:
     section, measure, ext = _boundary_setup(cfg)
-    if np.iscomplexobj(measure.nodes):
-        raise UsageError("frequency targets need a real boundary "
-                         "(circle, band, or Cantor atoms)")
     target = np.exp(2j * np.pi * cfg.freq * measure.nodes)
     result = onto_residual(target, ext, measure, section)
     report["scalars"] = {

@@ -20,10 +20,12 @@ import rkboundary.cli as cli
 from rkboundary import (
     BargmannKernel,
     Cantor4Kernel,
+    DomainError,
     ExplicitFeatureKernel,
     FrameExtension,
     NotPositiveSemidefiniteError,
     PullbackExtension,
+    SectionError,
     SincKernel,
     SzegoKernel,
     adjoint_apply,
@@ -35,6 +37,7 @@ from rkboundary import (
     cantor4_fourier,
     cantor_exact,
     cantor_ifs,
+    check_pair,
     commuting_diagram_defect,
     element,
     evaluate_element,
@@ -100,10 +103,50 @@ def test_boundary_gram_cantor_exact():
 @pytest.mark.parametrize("kernel", [SzegoKernel(), Cantor4Kernel(level=13)],
                          ids=["szego", "level13"])
 def test_exact_cantor_measure_refuses_other_kernels(kernel):
-    # refused before the power matrix over the 2**level frequencies is made
-    section = build_section(kernel, [0.1, 0.2j])
-    with pytest.raises(ValueError, match="truncated Cantor kernel at level at most 12"):
-        boundary_gram(kernel.boundary_extension(), cantor_exact(), section)
+    # refused by check_pair before the power matrix over the 2**level
+    # frequencies is made
+    ext, section = kernel.boundary_extension(), build_section(kernel, [0.1, 0.2j])
+    with pytest.raises(DomainError,
+                       match="truncated Cantor kernel at level at most 12") as refused:
+        check_pair(ext, cantor_exact(), section)
+    with pytest.raises(DomainError) as raised:
+        boundary_gram(ext, cantor_exact(), section)
+    assert str(raised.value) == str(refused.value)
+
+
+_CANONICAL_PAIRS = [
+    (SzegoKernel(), periodic_uniform(64)),
+    (BargmannKernel(), gauss_hermite_plane(8)),
+    (Cantor4Kernel(level=4), cantor_ifs(6)),
+    (Cantor4Kernel(level=12), cantor_exact()),
+    (SincKernel(), band_gauss_legendre(40)),
+]
+
+
+@pytest.mark.parametrize("kernel, mu", _CANONICAL_PAIRS,
+                         ids=["szego", "bargmann", "cantor4-ifs", "cantor4-exact", "sinc"])
+def test_check_pair_accepts_each_canonical_pair(kernel, mu):
+    assert check_pair(kernel.boundary_extension(), mu, build_section(kernel, [])) is None
+
+
+@pytest.mark.parametrize("kernel, mu, message", [
+    (SzegoKernel(), gauss_hermite_plane(8), "circle coordinate requires real values"),
+    (SincKernel(), periodic_uniform(64), "band frequencies must satisfy"),
+    (Cantor4Kernel(level=4), atomic([0.1 + 0.2j], [1.0]), "circle coordinate requires real"),
+    (BargmannKernel(), cantor_exact(), "exact Cantor measure pairs only"),
+], ids=["szego-plane", "sinc-circle", "cantor4-plane", "bargmann-exact"])
+def test_check_pair_refuses_a_measure_off_the_boundary(kernel, mu, message):
+    with pytest.raises(DomainError, match=message):
+        check_pair(kernel.boundary_extension(), mu, build_section(kernel, []))
+
+
+def test_check_pair_refuses_an_extension_of_another_kernel():
+    ext = Cantor4Kernel(level=4).boundary_extension()
+    section = build_section(Cantor4Kernel(level=5), [0.1])
+    with pytest.raises(SectionError, match="different kernels"):
+        check_pair(ext, cantor_exact(), section)
+    with pytest.raises(SectionError, match="different kernels"):
+        boundary_gram(ext, cantor_exact(), section)
 
 
 @pytest.mark.parametrize("level", range(1, 12))

@@ -29,6 +29,7 @@ from rkboundary.cli import (
     builtin_grid,
     emit,
     main,
+    make_kernel,
     make_measure,
     parse_config,
     run,
@@ -142,7 +143,7 @@ def test_flag_a_command_does_not_read_is_usage_error(argv, capsys):
 
 def test_points_inline_and_file(tmp_path):
     cfg = parse_config(["factorize", "--points", "0.1,0.2+0.3j"])
-    from rkboundary.cli import make_kernel, make_points
+    from rkboundary.cli import make_points
 
     kernel = make_kernel(cfg)
     pts = make_points(cfg, kernel)
@@ -225,17 +226,47 @@ def test_carleson_empty_section(capsys):
     assert doc["verdicts"][0]["value"] == 1.0
 
 
-@pytest.mark.parametrize("argv, start", [
-    (["factorize", "--kernel", "cantor4", "--level", "15"], "usage error: --level must be"),
+_EXACT_CANTOR_PAIRING = ("usage error: bad measure descriptor 'cantor-exact': the exact Cantor "
+                         "measure pairs only with the truncated Cantor kernel at level at most 12")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["factorize", "--kernel", "cantor4", "--level", "15"], _EXACT_CANTOR_PAIRING),
     (["isometry", "--kernel", "cantor4", "--measure", "cantor-exact", "--level", "13"],
-     "usage error: --level must be"),
-    (["cantor-onb", "--level", "13"], "usage error: argument --level: must be"),
+     _EXACT_CANTOR_PAIRING),
+    (["cantor-onb", "--level", "13"], "usage error: argument --level: must be in 1..12, got 13"),
 ], ids=["argv0", "argv1", "argv2"])
-def test_exact_cantor_route_above_size_limit_is_usage_error(argv, start, capsys):
+def test_exact_cantor_route_above_size_limit_is_usage_error(argv, line, capsys):
     started = time.perf_counter()
     assert main(argv) == EXIT_USAGE
     assert time.perf_counter() - started < 5.0
-    assert capsys.readouterr().err.startswith(start)
+    assert capsys.readouterr().err == line + "\n"
+
+
+_PAIRING_ATOMS = {"atomic-real": [0.1, 0.7], "atomic-complex": [[0.1, 0.2], [0.7, -0.1]]}
+
+
+@pytest.mark.parametrize("command", ["factorize", "carleson", "isometry", "adjoint-roundtrip",
+                                     "project"])
+@pytest.mark.parametrize("measure", ["uniform:64", "gauss-hermite:8", "cantor-ifs:6", "band:40",
+                                     "cantor-exact", *_PAIRING_ATOMS])
+@pytest.mark.parametrize("kernel", sorted(_KERNELS))
+def test_no_kernel_measure_pair_exits_3(kernel, measure, command, tmp_path, capsys):
+    # a measure whose nodes the kernel's boundary extension refuses, plane nodes
+    # for a circle kernel say, exited 3 from inside the boundary matrix
+    if measure in _PAIRING_ATOMS:
+        path = tmp_path / "atoms.json"
+        path.write_text(json.dumps({"nodes": _PAIRING_ATOMS[measure], "weights": [0.5, 0.5]}))
+        measure = f"atomic:{path}"
+    code = main([command, "--kernel", kernel, "--measure", measure])
+    captured = capsys.readouterr()
+    if code == EXIT_USAGE:
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("usage error: ")
+    else:
+        assert code in (EXIT_PASS, EXIT_VERDICT_FAIL)
 
 
 def test_project_empty_section(capsys):
@@ -445,8 +476,10 @@ def test_scale_applied_once_to_the_unit_measure(kernel, measure, tmp_path):
         measure = _atomic_file(tmp_path, [0.5, 0.25, 0.25])
 
     def built(scale):
-        return make_measure(parse_config(
-            ["factorize", "--kernel", kernel, "--measure", measure, "--scale", scale]))
+        cfg = parse_config(["factorize", "--kernel", kernel, "--measure", measure,
+                            "--scale", scale])
+        kern = make_kernel(cfg)
+        return make_measure(cfg, kern.boundary_extension(), build_section(kern, []))
 
     unit, tripled = built("1"), built("3")
     if unit.weights is None:
