@@ -109,11 +109,20 @@ MAX_TRIAL_VALUES = 2 ** 28
 MAX_PROBE_NODES = 2 ** 24
 
 
-# A --measure kind that takes a size: its unit-mass constructor, the size of a
-# descriptor that gives none, the largest size, and the node count of a size.
+# A --measure kind: its constructor, called with the descriptor's parameter,
+# and the parameter the --measure help shows.  A sized kind also has a largest
+# size and the node count of a size; its shown parameter is the size of a
+# descriptor that gives none, and its constructor is called with the size.
 # Each constructor looks the library function up by name when it is called,
 # so a wrapper bound in the function's place is the one called.
-_MeasureKind = namedtuple("_MeasureKind", "build default bound nodes")
+_MeasureKind = namedtuple("_MeasureKind", "build default bound nodes", defaults=(None, None))
+
+
+def _cantor_exact(param: str):
+    if param:
+        raise ValueError("the exact Cantor measure takes no parameter")
+    return cantor_exact()
+
 
 # A size above the bound is a usage error.  The slowest command at each bound,
 # with every other setting at its default, on a 2-CPU host: uniform:131072
@@ -127,7 +136,9 @@ _MEASURE_KINDS = {
     "uniform": _MeasureKind(lambda n: periodic_uniform(n), 2048, 2 ** 17, lambda n: n),
     "gauss-hermite": _MeasureKind(lambda n: gauss_hermite_plane(n), 64, 256, lambda n: n * n),
     "cantor-ifs": _MeasureKind(lambda n: cantor_ifs(n), 12, 17, lambda n: 2 ** n),
+    "cantor-exact": _MeasureKind(_cantor_exact, None),
     "band": _MeasureKind(lambda n: band_gauss_legendre(n), 160, 2_000, lambda n: n),
+    "atomic": _MeasureKind(lambda path: _atomic_from_file(path), "FILE"),
 }
 
 
@@ -332,10 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 f"(default {_KERNELS['cantor4'].level}, "
                                 f"at most {MAX_EXACT_LEVEL} on cantor-exact)")
         if measure:
-            examples = [f"{kind}:{k.default}" for kind, k in _MEASURE_KINDS.items()]
-            p.add_argument("--measure", default=None,
-                           help=f"kind[:param], e.g. {', '.join(examples[:3])}, cantor-exact, "
-                                f"{examples[3]}, atomic:FILE")
+            p.add_argument("--measure", default=None, help="kind[:param], e.g. " + ", ".join(
+                kind if k.default is None else f"{kind}:{k.default}"
+                for kind, k in _MEASURE_KINDS.items()))
             p.add_argument("--scale", type=_scale_factor, default=1.0,
                            help=f"factor on all weights, at most {MAX_SCALE:g} (default %(default)s)")
         if points:
@@ -471,43 +481,42 @@ def make_measure(cfg: argparse.Namespace, ext, section):
     """The unit measure the descriptor names, scaled by ``--scale``, for a run
     on ``section`` through the boundary extension ``ext``.
 
-    A run whose products of sizes exceed their bounds is refused before the
-    measure is built, and so is a node-free measure in a command that samples
-    at nodes.  A measure off the extension's boundary (see ``check_pair``) is
-    refused once built, and so are complex nodes in ``project``.
+    A run whose products of sizes exceed their bounds is refused before a
+    sized measure is built, and so is a node-free measure in a command that
+    samples at nodes.  A measure off the extension's boundary (see
+    ``check_pair``) is refused once built, and so are nodes off the real line
+    in ``project``.
     """
     desc = _kernel_setting(cfg, "measure")
     if cfg.measure is None and cfg.command in _NODE_REQUIRED_COMMANDS:
         desc = _KERNELS[cfg.kernel].node_measure or desc
     kind, _, param = desc.partition(":")
+    row = _MEASURE_KINDS.get(kind)
+    if row is None:
+        raise UsageError(f"unknown measure kind {kind!r}")
     try:
-        if kind in _MEASURE_KINDS:
-            sized = _MEASURE_KINDS[kind]
-            size = _measure_size(param, sized)
-            _check_run_size(cfg, section.size, sized.nodes(size))
-            measure = sized.build(size)
-        elif kind == "cantor-exact":
-            if param:
-                raise UsageError(f"bad measure descriptor {desc!r}: the exact Cantor "
-                                 "measure takes no parameter")
-            if cfg.command in _NODE_REQUIRED_COMMANDS:
-                raise UsageError(f"{cfg.command} samples boundary values at quadrature nodes; "
-                                 "use a node-based measure (e.g. cantor-ifs:10)")
-            _check_run_size(cfg, section.size, 0)
-            measure = cantor_exact()
-        elif kind == "atomic":
-            measure = _atomic_from_file(param)
-            _check_run_size(cfg, section.size, measure.nodes.size)
-        else:
-            raise UsageError(f"unknown measure kind {kind!r}")
+        if row.bound is not None:
+            param = int(param or row.default)
+            if not 1 <= param <= row.bound:
+                raise ValueError(f"its size must be in 1..{row.bound}, got {param}")
+            _check_run_size(cfg, section.size, row.nodes(param))
+        measure = row.build(param)
+        if measure.nodes is None and cfg.command in _NODE_REQUIRED_COMMANDS:
+            raise UsageError(f"{cfg.command} samples boundary values at quadrature nodes; "
+                             "use a node-based measure (e.g. cantor-ifs:10)")
+        if row.bound is None:
+            _check_run_size(cfg, section.size, 0 if measure.nodes is None else measure.nodes.size)
         measure = scale_measure(measure, cfg.scale)
         check_pair(ext, measure, section)
     except ValueError as exc:
         raise UsageError(f"bad measure descriptor {desc!r}: {exc}") from None
-    if cfg.command == "project" and np.iscomplexobj(measure.nodes):
+    if cfg.command == "project" and np.any(np.imag(measure.nodes) != 0):
         raise UsageError("frequency targets need a real boundary "
                          "(circle, band, or Cantor atoms)")
-    if kind == "atomic":  # the other measures carry the mass --scale gives them
+    # a sized kind builds a unit measure, which carries the mass --scale gives
+    # it; an atomic file gives its own masses, so they are bounded here
+    # (cantor-exact's mass is its scale, which always passes)
+    if row.bound is None:
         with np.errstate(over="ignore"):
             mass = measure.total_mass
         if not mass <= MAX_SCALE:
@@ -530,13 +539,6 @@ def _check_run_size(cfg: argparse.Namespace, points: int, nodes: int) -> None:
     for factors, value, bound in products:
         if value > bound:
             raise UsageError(f"{factors} is {value}, more than {bound}")
-
-
-def _measure_size(param: str, sized) -> int:
-    size = int(param or sized.default)
-    if not 1 <= size <= sized.bound:
-        raise ValueError(f"its size must be in 1..{sized.bound}, got {size}")
-    return size
 
 
 def _atomic_from_file(path: str):
@@ -566,20 +568,25 @@ def _parse_inline_scalar(token: str):
         raise UsageError(f"malformed point {token!r}") from None
 
 
+# The spiral of a disk or plane kernel: the radius of the k-th of the n points
+# of its builtin gridN, and the radius of the disk its random probes are drawn
+# from.
+_Spiral = namedtuple("_Spiral", "radius probe_radius")
+
+_SPIRALS = {
+    "disk": _Spiral(lambda k, n: 0.15 + 0.75 * k / max(n - 1, 1), 0.9),
+    "plane": _Spiral(lambda k, n: 2.0 * (k + 1) / n, 2.0),
+}
+
+
 def builtin_grid(n: int, kernel) -> np.ndarray:
     """Deterministic point sets: a low-discrepancy spiral for disk and plane
     kernels, centered integers on the line."""
     k = np.arange(n)
-    angle = 2.0 * np.pi * np.mod(_GOLDEN * k, 1.0)
-    if kernel.domain == "disk":
-        radius = 0.15 + 0.75 * k / max(n - 1, 1)
-        return radius * np.exp(1j * angle)
-    if kernel.domain == "plane":
-        radius = 2.0 * (k + 1) / n
-        return radius * np.exp(1j * angle)
     if kernel.domain == "line":
         return k - (n - 1) / 2.0
-    raise UsageError(f"no builtin grid for domain {kernel.domain!r}")
+    angle = 2.0 * np.pi * np.mod(_GOLDEN * k, 1.0)
+    return _SPIRALS[kernel.domain].radius(k, n) * np.exp(1j * angle)
 
 
 def make_points(cfg: argparse.Namespace, kernel) -> np.ndarray:
@@ -612,15 +619,10 @@ def _section_size(count: int) -> int:
 
 
 def _domain_probes(kernel, rng: np.random.Generator, count: int) -> np.ndarray:
-    if kernel.domain == "disk":
-        r = 0.9 * np.sqrt(rng.uniform(size=count))
-        return r * np.exp(2j * np.pi * rng.uniform(size=count))
-    if kernel.domain == "plane":
-        r = 2.0 * np.sqrt(rng.uniform(size=count))
-        return r * np.exp(2j * np.pi * rng.uniform(size=count))
     if kernel.domain == "line":
         return rng.uniform(-5.0, 5.0, size=count)
-    raise UsageError(f"no probe sampler for domain {kernel.domain!r}")
+    r = _SPIRALS[kernel.domain].probe_radius * np.sqrt(rng.uniform(size=count))
+    return r * np.exp(2j * np.pi * rng.uniform(size=count))
 
 
 # ---------------------------------------------------------------------------

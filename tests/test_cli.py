@@ -26,6 +26,7 @@ from rkboundary.cli import (
     MAX_SHANNON_SUPPORT,
     _KERNELS,
     _MEASURE_KINDS,
+    _domain_probes,
     builtin_grid,
     emit,
     main,
@@ -34,7 +35,14 @@ from rkboundary.cli import (
     parse_config,
     run,
 )
-from rkboundary.kernels import BoundaryExtension, SincKernel, SzegoKernel, build_section
+from rkboundary.kernels import (
+    BargmannKernel,
+    BoundaryExtension,
+    Cantor4Kernel,
+    SincKernel,
+    SzegoKernel,
+    build_section,
+)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -168,6 +176,30 @@ def test_builtin_grids():
     assert np.all(np.abs(disk) <= 0.9 + 1e-12)
     line = builtin_grid(5, SincKernel())
     assert line.tolist() == [-2.0, -1.0, 0.0, 1.0, 2.0]
+    # every point keeps its bits: the golden-angle spiral, written out per domain
+    for n in (1, 2, 7):
+        k = np.arange(n)
+        turn = np.exp(1j * (2.0 * np.pi * np.mod(0.6180339887498949 * k, 1.0)))
+        expected = {"disk": (0.15 + 0.75 * k / max(n - 1, 1)) * turn,
+                    "plane": (2.0 * (k + 1) / n) * turn,
+                    "line": k - (n - 1) / 2.0}
+        for kernel in (SzegoKernel(), Cantor4Kernel(level=6), BargmannKernel(), SincKernel()):
+            np.testing.assert_array_equal(builtin_grid(n, kernel), expected[kernel.domain])
+
+
+@pytest.mark.parametrize("kernel", [SzegoKernel(), BargmannKernel(), SincKernel()],
+                         ids=["disk", "plane", "line"])
+def test_domain_probes_keep_their_draws(kernel):
+    # the adjoint-roundtrip probes: a uniform disk of radius 0.9 or 2, drawn
+    # as radius then angle, or a uniform interval on the line
+    probes = _domain_probes(kernel, np.random.default_rng(11), 9)
+    rng = np.random.default_rng(11)
+    if kernel.domain == "line":
+        expected = rng.uniform(-5.0, 5.0, size=9)
+    else:
+        r = {"disk": 0.9, "plane": 2.0}[kernel.domain] * np.sqrt(rng.uniform(size=9))
+        expected = r * np.exp(2j * np.pi * rng.uniform(size=9))
+    np.testing.assert_array_equal(probes, expected)
 
 
 # -- runs ---------------------------------------------------------------------
@@ -267,6 +299,29 @@ def test_no_kernel_measure_pair_exits_3(kernel, measure, command, tmp_path, caps
         assert lines[0].startswith("usage error: ")
     else:
         assert code in (EXIT_PASS, EXIT_VERDICT_FAIL)
+
+
+def test_project_takes_real_nodes_written_as_complex(tmp_path, capsys):
+    # [re, 0] entries load as complex numbers whose imaginary parts are zero
+    reports = []
+    for nodes in ([0.1, 0.7], [[0.1, 0], [0.7, 0]]):
+        path = tmp_path / "atoms.json"
+        path.write_text(json.dumps({"nodes": nodes, "weights": [0.5, 0.5]}))
+        argv = ["project", "--kernel", "szego", "--points", "grid2", "--measure", f"atomic:{path}"]
+        assert main(argv) == EXIT_PASS
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+def test_project_refuses_nodes_off_the_real_line(tmp_path, capsys):
+    path = tmp_path / "atoms.json"
+    path.write_text(json.dumps({"nodes": [[0.1, 0], [0.7, -0.1]], "weights": [0.5, 0.5]}))
+    argv = ["project", "--kernel", "bargmann", "--points", "grid2", "--measure", f"atomic:{path}"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage error: frequency targets need a real boundary "
+                            "(circle, band, or Cantor atoms)\n")
 
 
 def test_project_empty_section(capsys):
@@ -399,6 +454,57 @@ def test_measure_size_bound(kernel, kind, bound, via, tmp_path, capsys):
     desc = f"{kind}:{bound}"
     assert main(_flag_or_config("factorize", {"measure": desc}, via, tmp_path) + base) == EXIT_PASS
     assert json.loads(capsys.readouterr().out)["config"]["measure"] == desc
+
+
+# a kernel on whose boundary each measure kind lives
+_KIND_KERNELS = {"uniform": "szego", "gauss-hermite": "bargmann", "cantor-ifs": "cantor4",
+                 "cantor-exact": "cantor4", "band": "sinc", "atomic": "szego"}
+
+
+def test_every_measure_kind_row_builds(tmp_path):
+    atoms = tmp_path / "atoms.json"
+    atoms.write_text(json.dumps({"nodes": [0.1, 0.7], "weights": [0.5, 0.5]}))
+    nodes = {}
+    for kind in _MEASURE_KINDS:
+        desc = f"atomic:{atoms}" if kind == "atomic" else kind
+        cfg = parse_config(["factorize", "--kernel", _KIND_KERNELS[kind], "--measure", desc])
+        kernel = make_kernel(cfg)
+        section = build_section(kernel, builtin_grid(3, kernel))
+        measure = make_measure(cfg, kernel.boundary_extension(), section)
+        nodes[kind] = 0 if measure.nodes is None else measure.nodes.size
+    assert nodes == {"uniform": 2048, "gauss-hermite": 64 ** 2, "cantor-ifs": 2 ** 12,
+                     "cantor-exact": 0, "band": 160, "atomic": 2}
+
+
+def test_measure_help_lists_the_rows_in_table_order(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")  # one help line, unwrapped
+    assert main(["factorize", "--help"]) == EXIT_PASS
+    examples = [kind if row.default is None else f"{kind}:{row.default}"
+                for kind, row in _MEASURE_KINDS.items()]
+    assert f"kind[:param], e.g. {', '.join(examples)}\n" in capsys.readouterr().out
+    assert list(_MEASURE_KINDS) == ["uniform", "gauss-hermite", "cantor-ifs", "cantor-exact",
+                                    "band", "atomic"]
+
+
+def test_unknown_measure_kind_is_usage_error(capsys):
+    assert main(["factorize", "--measure", "bogus:3"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: unknown measure kind 'bogus'\n"
+
+
+def test_run_size_refused_before_the_measure_is_built(monkeypatch, capsys):
+    # the 2000-node Gauss-Legendre rule takes 0.5-1 s, wasted on a run the bounds refuse
+    def refuse(n):
+        raise AssertionError(f"band_gauss_legendre({n}) was called")
+
+    monkeypatch.setattr(rkboundary.cli, "band_gauss_legendre", refuse)
+    code = main(["isometry", "--kernel", "sinc", "--measure", "band:2000", "--samples", "10000",
+                 "--points", "grid20"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err == ("usage error: 10000 samples x 20 points x (2000 nodes + 20 points) "
+                            "is 404000000, more than 268435456\n")
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])
