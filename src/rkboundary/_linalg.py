@@ -70,21 +70,21 @@ def row_blocks(rows: int, width: int):
 
 
 def blocked_sum(coeffs, points, rule, t):
-    """The sum over j of c_j rule(s_j, t) at a scalar or an array t.
+    """The array of sums over j of c_j rule(s_j, t), one per point t.
 
-    ``rule(s, t)`` broadcasts over a column of points s and a row of t: a
-    kernel, a boundary extension or the cardinal sinc.  The rule is evaluated
-    and reduced one block of t at a time, each block sized for the evaluation
-    and up to three scratch arrays beside it.  ``einsum`` reduces a block in
-    a fixed order on one thread, so the values do not depend on the BLAS
-    thread count.
+    ``t`` is promoted with ``np.atleast_1d``, so a scalar point gives an
+    array of shape (1,).  ``rule(s, t)`` broadcasts over a column of points s
+    and a row of t: a kernel, a boundary extension or the cardinal sinc.  The
+    rule is evaluated and reduced one block of t at a time, each block sized
+    for the evaluation and up to three scratch arrays beside it.  ``einsum``
+    reduces a block in a fixed order on one thread, so the values do not
+    depend on the BLAS thread count.
     """
-    arr = np.asarray(t)
-    pts = np.atleast_1d(arr)
+    pts = np.atleast_1d(t)
     out = np.empty(pts.shape, dtype=complex)
     for cols in row_blocks(pts.shape[0], 4 * points.shape[0]):
         out[cols] = np.einsum("j,jk->k", coeffs, rule(points[:, None], pts[None, cols]))
-    return complex(out[0]) if arr.ndim == 0 else out
+    return out
 
 
 def pivoted_cholesky(matrix):

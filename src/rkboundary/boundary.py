@@ -195,10 +195,11 @@ def membership_defect(ext: BoundaryExtension, measure: QuadMeasure,
     )
 
 
-def boundary_transform(f: RkhsElement, ext: BoundaryExtension):
-    """Boundary-side function b -> sum_j c_j K^B(s_j, b), as a vectorized callable
-    summed by :func:`~rkboundary._linalg.blocked_sum`."""
-    return lambda b: blocked_sum(f.coeffs, f.section.points, ext, b)
+def boundary_transform(f: RkhsElement, ext: BoundaryExtension, b) -> np.ndarray:
+    """The boundary transform sum_j c_j K^B(s_j, b) of f, as an array with one
+    value per boundary point b (a scalar b gives shape (1,)), summed by
+    :func:`~rkboundary._linalg.blocked_sum`."""
+    return blocked_sum(f.coeffs, f.section.points, ext, b)
 
 
 def isometry_norms(bmat: BoundaryMatrix, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +236,8 @@ def adjoint_apply(boundary_values, ext: BoundaryExtension, measure: QuadMeasure,
     """Adjoint of the boundary transform: s -> integral conj(K^B(s, b)) F(b) dmu(b).
 
     ``boundary_values`` is an array of samples aligned with the quadrature
-    nodes; ``s`` may be a scalar point or an array.  The extension is
+    nodes.  ``s`` is promoted with ``np.atleast_1d`` and the result has one
+    value per point, so a scalar point gives shape (1,).  The extension is
     evaluated at every point on one tile of nodes at a time, each tile sized
     for the evaluation and up to three scratch arrays beside it, and the
     tiles' sums are accumulated.  ``einsum`` reduces a tile in a fixed
@@ -244,13 +246,12 @@ def adjoint_apply(boundary_values, ext: BoundaryExtension, measure: QuadMeasure,
     if measure.nodes is None:
         raise ValueError("adjoint evaluation needs a node-based measure")
     weighted = _node_samples(boundary_values, measure) * measure.weights
-    arr = np.asarray(s)
-    pts = np.atleast_1d(arr)
+    pts = np.atleast_1d(s)
     out = np.zeros(pts.shape, dtype=complex)
     for tile in row_blocks(measure.nodes.shape[0], 4 * pts.shape[0]):
         cols = ext(pts[:, None], measure.nodes[None, tile])
         out += np.einsum("ik,k->i", np.conj(cols, out=cols), weighted[tile])
-    return complex(out[0]) if arr.ndim == 0 else out
+    return out
 
 
 def pencil_eigenvalues(nmat: np.ndarray, norm_matrix: np.ndarray) -> np.ndarray:
@@ -378,8 +379,8 @@ def commuting_diagram_defect(
             "atom map does not push the fine measure onto the coarse one "
             f"(mass error {mass_error:.3e})"
         )
-    coarse_vals = boundary_transform(f, ext_coarse)(mu_coarse.nodes)
-    fine_vals = boundary_transform(f, ext_fine)(mu_fine.nodes)
+    coarse_vals = boundary_transform(f, ext_coarse, mu_coarse.nodes)
+    fine_vals = boundary_transform(f, ext_fine, mu_fine.nodes)
     index_of = {atom: i for i, atom in enumerate(mu_coarse.nodes.tolist())}
     pulled = np.asarray(
         [coarse_vals[index_of[atom_map[b]]] for b in mu_fine.nodes.tolist()],

@@ -88,6 +88,10 @@ MAX_SHANNON_GRID = 5_000
 # probes times measure nodes, and 1000 probes take about 0.65 s at the
 # defaults and 1.5 s on the default cantor4 section at level 20 on cantor-ifs:14
 MAX_PROBES = 1_000
+# --freq and gp --samples beyond this in magnitude are usage errors: a double
+# holds every integer up to 2**53, so the target frequency and the Wishart
+# degrees of freedom stay the integers asked for
+MAX_EXACT_INT = 2 ** 53
 # The sizes a run multiplies are bounded too, before anything is allocated.
 # A section has at most this many points: its Gram matrix and the n**2 report
 # tables grow with the square, and the slowest 500-point run, factorize
@@ -197,7 +201,7 @@ def emit(report: dict, fmt: str = "json") -> str:
     format with a ValueError that names the field.
     """
     try:
-        return _serialize(report, fmt)
+        return _json_text(report) if fmt == "json" else _csv_text(report)
     except ValueError:
         keys = _nonfinite_keys(report)
         if keys is None:
@@ -206,28 +210,24 @@ def emit(report: dict, fmt: str = "json") -> str:
         raise ValueError(f"report value {field_name[1:]} is not finite") from None
 
 
-def _serialize(doc: dict, fmt: str) -> str:
-    """JSON or CSV text of a report document; a non-finite number raises ValueError."""
-    if fmt == "json":
-        return _json_text(doc)
-    if fmt == "csv":
-        lines = [f"# report,{doc['command']},{doc['version']}", "# scalars", "name,value"]
-        scalars = doc["scalars"]
-        lines += [f"{name},{_cell(scalars[name])}" for name in sorted(scalars)]
-        lines += ["# verdicts", "name,value,tolerance,passed"]
-        for v in doc["verdicts"]:
-            lines.append(
-                f"{v['name']},{_cell(v['value'])},{_cell(v['tolerance'])},{_cell(v['passed'])}"
-            )
-        tables = doc["tables"]
-        for name in sorted(tables):
-            table = tables[name]
-            lines.append(f"# table,{name}")
-            lines.append(",".join(table["columns"]))
-            for row in table["rows"]:
-                lines.append(",".join(_cell(x) for x in row))
-        return "\n".join(lines) + "\n"
-    raise UsageError(f"unknown report format {fmt!r}")
+def _csv_text(doc: dict) -> str:
+    """CSV text of a report document; a non-finite number raises ValueError."""
+    lines = [f"# report,{doc['command']},{doc['version']}", "# scalars", "name,value"]
+    scalars = doc["scalars"]
+    lines += [f"{name},{_cell(scalars[name])}" for name in sorted(scalars)]
+    lines += ["# verdicts", "name,value,tolerance,passed"]
+    for v in doc["verdicts"]:
+        lines.append(
+            f"{v['name']},{_cell(v['value'])},{_cell(v['tolerance'])},{_cell(v['passed'])}"
+        )
+    tables = doc["tables"]
+    for name in sorted(tables):
+        table = tables[name]
+        lines.append(f"# table,{name}")
+        lines.append(",".join(table["columns"]))
+        for row in table["rows"]:
+            lines.append(",".join(_cell(x) for x in row))
+    return "\n".join(lines) + "\n"
 
 
 def _json_text(doc: dict) -> str:
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rkboundary {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    def command(name, summary, *, tol, kernel=True, measure=True, points=True, seed=False):
+    def command(name, summary, *, tol, kernel=True, measure=True, seed=False):
         p = sub.add_parser(name, help=summary)
         if kernel:
             p.add_argument("--kernel", choices=sorted(_KERNELS), default="szego")
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
                 for kind, k in _MEASURE_KINDS.items()))
             p.add_argument("--scale", type=_scale_factor, default=1.0,
                            help=f"factor on all weights, at most {MAX_SCALE:g} (default %(default)s)")
-        if points:
+        if kernel:
             p.add_argument("--points", default=None,
                            help="gridN, a JSON file, or inline values 0.1,0.2+0.3j,...")
         p.add_argument("--tol", type=_positive_float, default=tol,
@@ -379,17 +379,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of probe points (default %(default)s)")
 
     p = command("project", "least-squares projection of a boundary exponential", tol=1e-9)
-    p.add_argument("--freq", type=int, default=-1,
+    p.add_argument("--freq", type=_int_range(-MAX_EXACT_INT, MAX_EXACT_INT), default=-1,
                    help="target exponential frequency (default %(default)s)")
 
     p = command("gp", "Gaussian sampling with kernel covariance",
                 tol=0.05, measure=False, seed=True)
     # a covariance estimate needs two samples
-    p.add_argument("--samples", type=_int_range(2), default=100000,
+    p.add_argument("--samples", type=_int_range(2, MAX_EXACT_INT), default=100000,
                    help="Monte-Carlo sample count (default %(default)s)")
 
     p = command("shannon", "cardinal-series reconstruction of a shifted sinc",
-                tol=1e-3, kernel=False, measure=False, points=False)
+                tol=1e-3, kernel=False, measure=False)
     p.add_argument("--shift", type=_finite_float, default=0.3,
                    help="target shift (default %(default)s)")
     p.add_argument("--support", type=_int_range(1, MAX_SHANNON_SUPPORT), default=1000,
@@ -400,10 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("cantor-onb", "orthonormality and completeness diagnostics "
                               "of the Cantor exponential basis",
-                tol=1e-12, kernel=False, measure=False, points=False)
+                tol=1e-12, kernel=False, measure=False)
     p.add_argument("--level", type=_int_range(1, MAX_EXACT_LEVEL), default=6,
                    help="frequency set level (default %(default)s)")
-    p.add_argument("--freq", type=int, default=2,
+    p.add_argument("--freq", type=_int_range(-MAX_EXACT_INT, MAX_EXACT_INT), default=2,
                    help="completeness probe frequency (default %(default)s)")
     # the completeness table starts at level 2
     p.add_argument("--parseval-max", dest="parseval_max",
@@ -412,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("morphism", "pushforward ordering and commuting-diagram check "
                         "on the built-in atom refinement",
-            tol=1e-12, kernel=False, measure=False, points=False)
+            tol=1e-12, kernel=False, measure=False)
 
     return parser
 
@@ -728,7 +728,7 @@ def _run_adjoint_roundtrip(cfg: argparse.Namespace, report: dict) -> None:
     section, measure, ext = _boundary_setup(cfg)
     rng = np.random.default_rng(cfg.seed)
     f = element(section, rng.standard_normal(section.size) + 1j * rng.standard_normal(section.size))
-    samples = boundary_transform(f, ext)(measure.nodes)
+    samples = boundary_transform(f, ext, measure.nodes)
     probes = _domain_probes(section.kernel, rng, cfg.probes)
     roundtrip = adjoint_apply(samples, ext, measure, probes)
     errors = np.abs(roundtrip - evaluate_element(f, probes))

@@ -527,5 +527,6 @@ def h_norm_sq(f: RkhsElement) -> float:
 
 
 def evaluate_element(f: RkhsElement, t):
-    """Pointwise value sum_j c_j K(s_j, t); t may be a scalar or an array."""
+    """Pointwise values sum_j c_j K(s_j, t), one per point t (a scalar t gives
+    shape (1,)), summed by :func:`~rkboundary._linalg.blocked_sum`."""
     return blocked_sum(f.coeffs, f.section.points, f.section.kernel, t)

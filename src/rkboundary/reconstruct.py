@@ -89,7 +89,8 @@ def lambda4_orthonormality_gaps(level: int) -> tuple[np.ndarray, float, np.ndarr
 
 
 def shannon_reconstruct(values, t):
-    """Truncated cardinal series sum_n f(n) sinc(t - n) over n = -S..S.
+    """Truncated cardinal series sum_n f(n) sinc(t - n) over n = -S..S, as an
+    array with one value per point t (a scalar t gives shape (1,)).
 
     ``values`` is the odd-length array of samples f(-S), ..., f(S), aligned
     with the integers of the support.  At integers inside the support the
@@ -103,12 +104,11 @@ def shannon_reconstruct(values, t):
         raise ValueError("samples must be one odd-length array f(-S), ..., f(S), "
                          f"got shape {vals.shape}")
     support = vals.shape[0] // 2
-    tt = np.asarray(t, dtype=float)
-    pts = np.atleast_1d(tt)
+    pts = np.atleast_1d(np.asarray(t, dtype=float))
     out = blocked_sum(vals, np.arange(-support, support + 1.0), lambda n, x: np.sinc(x - n), pts)
     stored = (pts == np.rint(pts)) & (np.abs(pts) <= support)
     out[stored] = vals[pts[stored].astype(int) + support]
-    return complex(out[0]) if tt.ndim == 0 else out
+    return out
 
 
 def parseval_table(k: int, max_level: int) -> list[tuple[int, float]]:

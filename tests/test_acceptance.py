@@ -153,7 +153,7 @@ def test_criterion_06_adjoint_roundtrip():
         ext = kernel.boundary_extension()
         c = rng.standard_normal(section.size) + 1j * rng.standard_normal(section.size)
         f = element(section, c)
-        samples = boundary_transform(f, ext)(measure.nodes)
+        samples = boundary_transform(f, ext, measure.nodes)
         probes = probe_sampler(50)
         errors = np.abs(adjoint_apply(samples, ext, measure, probes)
                         - evaluate_element(f, probes))

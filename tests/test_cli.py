@@ -1,5 +1,6 @@
 """Command-line driver: parsing, dispatch, report emission, determinism."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -19,6 +20,7 @@ from rkboundary.cli import (
     EXIT_PASS,
     EXIT_USAGE,
     EXIT_VERDICT_FAIL,
+    MAX_EXACT_INT,
     MAX_ISOMETRY_SAMPLES,
     MAX_PROBES,
     MAX_SCALE,
@@ -27,6 +29,7 @@ from rkboundary.cli import (
     _KERNELS,
     _MEASURE_KINDS,
     _domain_probes,
+    build_parser,
     builtin_grid,
     emit,
     main,
@@ -149,6 +152,34 @@ def test_flag_a_command_does_not_read_is_usage_error(argv, capsys):
     assert main(argv) == EXIT_USAGE
 
 
+_SECTION = ["--kernel", "--level"]
+_MEASURE = ["--measure", "--scale"]
+_OUTPUT = ["--out", "--format", "--config"]
+# each command's long options in the order its --help lists them
+_HELP_ORDER = {
+    "pd-check": [*_SECTION, "--points", "--tol", *_OUTPUT],
+    "factorize": [*_SECTION, *_MEASURE, "--points", "--tol", *_OUTPUT],
+    "isometry": [*_SECTION, *_MEASURE, "--points", "--tol", "--seed", *_OUTPUT, "--samples"],
+    "carleson": [*_SECTION, *_MEASURE, "--points", "--tol", *_OUTPUT],
+    "adjoint-roundtrip": [*_SECTION, *_MEASURE, "--points", "--tol", "--seed", *_OUTPUT,
+                          "--probes"],
+    "project": [*_SECTION, *_MEASURE, "--points", "--tol", *_OUTPUT, "--freq"],
+    "gp": [*_SECTION, "--points", "--tol", "--seed", *_OUTPUT, "--samples"],
+    "shannon": ["--tol", *_OUTPUT, "--shift", "--support", "--grid"],
+    "cantor-onb": ["--tol", *_OUTPUT, "--level", "--freq", "--parseval-max"],
+    "morphism": ["--tol", *_OUTPUT],
+}
+
+
+def test_each_command_lists_its_options_in_help_order():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    listed = {name: [opt for action in p._actions for opt in action.option_strings
+                     if opt.startswith("--") and opt != "--help"]
+              for name, p in sub.choices.items()}
+    assert list(listed) == list(_HELP_ORDER)
+    assert listed == _HELP_ORDER
+
+
 def test_points_inline_and_file(tmp_path):
     cfg = parse_config(["factorize", "--points", "0.1,0.2+0.3j"])
     from rkboundary.cli import make_points
@@ -234,12 +265,16 @@ def test_shannon_degenerate_grid_is_usage_error(grid, capsys):
     assert capsys.readouterr().err.startswith("usage error:")
 
 
-def test_unexpected_failure_exits_3_without_traceback(capsys):
-    # the completeness probe overflows a float; that is a crash, not a failed verdict
-    assert main(["cantor-onb", "--freq", "9" * 400]) == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert err.startswith("error: OverflowError")
-    assert len(err.splitlines()) == 1
+def test_unexpected_failure_exits_3_without_traceback(monkeypatch, capsys):
+    # an exception a runner does not expect is a crash, not a failed verdict
+    def crash(cfg, report):
+        raise OverflowError("int too large to convert to float")
+
+    monkeypatch.setitem(rkboundary.cli._RUNNERS, "cantor-onb", crash)
+    assert main(["cantor-onb"]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: OverflowError: int too large to convert to float\n"
 
 
 def test_factorize_empty_section(capsys):
@@ -429,6 +464,26 @@ def test_count_bound(command, key, bound, via, tmp_path, capsys):
                                 f"got {count}\n")
     assert main(_flag_or_config(command, {key: bound}, via, tmp_path)) == EXIT_PASS
     assert json.loads(capsys.readouterr().out)["config"][key] == bound
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command, key, low, passing", [
+    ("project", "freq", -MAX_EXACT_INT, (-MAX_EXACT_INT, MAX_EXACT_INT)),
+    ("cantor-onb", "freq", -MAX_EXACT_INT, (-MAX_EXACT_INT, MAX_EXACT_INT)),
+    ("gp", "samples", 2, (MAX_EXACT_INT,)),
+], ids=["project", "cantor-onb", "gp"])
+def test_float_exact_integer_bound(command, key, low, passing, via, tmp_path, capsys):
+    # 10**400 overflowed a float and exited 3
+    for value in (low - 1, MAX_EXACT_INT + 1, 10 ** 30, 10 ** 400, -10 ** 400):
+        assert main(_flag_or_config(command, {key: value}, via, tmp_path)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"usage error: argument --{key}: must be in "
+                                f"{low}..{MAX_EXACT_INT}, got {value}\n")
+    for value in passing:
+        assert main(_flag_or_config(command, {key: value}, via, tmp_path)) == EXIT_PASS
+        assert json.loads(capsys.readouterr().out)["config"][key] == value
+    assert MAX_EXACT_INT == 2 ** 53
 
 
 def _node_kind(kernel):

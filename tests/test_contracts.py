@@ -2,6 +2,7 @@
 tracer wraps, the arguments and results its counters read, and the README's
 library example."""
 
+import argparse
 import importlib
 import importlib.util
 import json
@@ -96,6 +97,20 @@ def test_readme_names_the_cli_tables():
         measure = row.rsplit("|", 2)[1]  # the last cell; the domain cells escape their bars
         canonical[kernel] = re.search(r"`([a-z-]+)", measure).group(1)
     assert canonical == {name: entry.measure for name, entry in cli._KERNELS.items()}
+
+
+def test_readme_lists_each_default_tolerance():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    # the bullet's continuation lines are indented
+    bullet = re.split(r"\n(?!  )", readme.split("Default `--tol` per command:", 1)[1])[0]
+    listed = {}
+    for group in bullet.split(";"):  # commands in backticks, then their tolerance
+        *commands, tol = re.findall(r"`([^`]+)`", group)
+        listed.update(dict.fromkeys(commands, float(tol)))
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert listed == {name: p.get_default("tol") for name, p in sub.choices.items()}
+    assert len(listed) == len(cli._RUNNERS) == 10
 
 
 def test_readme_library_example_runs():

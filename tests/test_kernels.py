@@ -24,6 +24,7 @@ from rkboundary import (
     lambda4_set,
     pd_check,
 )
+from rkboundary._linalg import blocked_sum
 
 ZOO = [
     (SzegoKernel(), disk_points),
@@ -315,6 +316,11 @@ def test_evaluate_element(rng):
     # at a section point the value is the Gram-row combination
     f2 = element(sec, np.arange(1, 5, dtype=complex))
     assert evaluate_element(f2, pts[2]) == pytest.approx(f2.coeffs @ sec.gram[:, 2], abs=1e-12)
+    # a scalar point gives the array of its one value, element 0 of the array call
+    many = evaluate_element(f2, np.array([probe]))
+    for one in (evaluate_element(f2, probe), blocked_sum(f2.coeffs, pts, sec.kernel, probe)):
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+        assert one[0] == many[0]
 
 
 # -- kernel metric ----------------------------------------------------------
