@@ -146,12 +146,15 @@ _MEASURE_KINDS = {
 }
 
 
-# A --kernel choice: its class, the measure kind and points a run takes when
-# no flag gives them, its truncation level if it has one, and the node measure
+# A --kernel choice: its class, the measure and points a run takes when no
+# flag gives them, its truncation level if it has one, and the node measure
 # that replaces a node-free default measure in the commands that sample
-# boundary values at nodes.  These settings resolve only when the run builds
-# its objects, so they stay out of the config echo.
+# boundary values at nodes.  parse_config fills these settings in, so the
+# config echo holds them.
 _Kernel = namedtuple("_Kernel", "cls measure points level node_measure", defaults=(None, None))
+
+# the commands that sample boundary values at the measure's nodes
+_NODE_REQUIRED_COMMANDS = {"adjoint-roundtrip", "project"}
 
 _KERNELS = {
     "szego": _Kernel(SzegoKernel, "uniform", "grid10"),
@@ -357,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=_int_range(0), default=0,
                            help="random generator seed (default %(default)s)")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--config", default=None,
                        help="JSON file of flag values keyed by long flag name; flags override it")
         return p
@@ -406,8 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freq", type=_int_range(-MAX_EXACT_INT, MAX_EXACT_INT), default=2,
                    help="completeness probe frequency (default %(default)s)")
     # the completeness table starts at level 2
-    p.add_argument("--parseval-max", dest="parseval_max",
-                   type=_int_range(2, MAX_PARSEVAL_LEVEL), default=12,
+    p.add_argument("--parseval-max", type=_int_range(2, MAX_PARSEVAL_LEVEL), default=12,
                    help="largest level in the completeness table (default %(default)s)")
 
     command("morphism", "pushforward ordering and commuting-diagram check "
@@ -423,7 +425,10 @@ def parse_config(argv=None) -> argparse.Namespace:
     The entries of a config file are read as ``--key=value`` flags placed
     right after the command name, so the command's own parser checks them
     and the flags given on the command line override them.  A setting the
-    command does not take is absent from the namespace.
+    command does not take is absent from the namespace.  The settings whose
+    defaults depend on the kernel are filled in from its ``_KERNELS`` row, and
+    a sized measure kind given without a size gets its default size, so the
+    namespace is the whole run and its echo replays it through ``--config``.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
@@ -431,8 +436,20 @@ def parse_config(argv=None) -> argparse.Namespace:
     if args.config:
         at = argv.index(args.command) + 1
         args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
-    if getattr(args, "kernel", None) not in (None, "cantor4") and args.level is not None:
-        raise UsageError("--level applies only to --kernel cantor4")
+    if "kernel" in args:
+        row = _KERNELS[args.kernel]
+        if row.level is None and args.level is not None:
+            raise UsageError("--level applies only to --kernel cantor4")
+        args.level = row.level if args.level is None else args.level
+        args.points = row.points if args.points is None else args.points
+        if "measure" in args:
+            if args.measure is None:
+                node_measure = args.command in _NODE_REQUIRED_COMMANDS and row.node_measure
+                args.measure = node_measure or row.measure
+            kind, _, param = args.measure.partition(":")
+            sized = _MEASURE_KINDS.get(kind)
+            if not param and sized is not None and sized.bound is not None:
+                args.measure = f"{kind}:{sized.default}"
     return args
 
 
@@ -461,21 +478,10 @@ def _config_flags(path: str) -> list:
 # object construction from config
 # ---------------------------------------------------------------------------
 
-def _kernel_setting(cfg: argparse.Namespace, name: str):
-    """The value given for a flag, else the default of the configured kernel."""
-    value = getattr(cfg, name)
-    return getattr(_KERNELS[cfg.kernel], name) if value is None else value
-
-
 def make_kernel(cfg: argparse.Namespace):
-    entry = _KERNELS[cfg.kernel]
-    if entry.level is None:
-        return entry.cls()
-    return entry.cls(level=_kernel_setting(cfg, "level"))
+    cls = _KERNELS[cfg.kernel].cls
+    return cls() if cfg.level is None else cls(level=cfg.level)
 
-
-# the commands that sample boundary values at the measure's nodes
-_NODE_REQUIRED_COMMANDS = {"adjoint-roundtrip", "project"}
 
 def make_measure(cfg: argparse.Namespace, ext, section):
     """The unit measure the descriptor names, scaled by ``--scale``, for a run
@@ -487,16 +493,14 @@ def make_measure(cfg: argparse.Namespace, ext, section):
     ``check_pair``) is refused once built, and so are nodes off the real line
     in ``project``.
     """
-    desc = _kernel_setting(cfg, "measure")
-    if cfg.measure is None and cfg.command in _NODE_REQUIRED_COMMANDS:
-        desc = _KERNELS[cfg.kernel].node_measure or desc
+    desc = cfg.measure
     kind, _, param = desc.partition(":")
     row = _MEASURE_KINDS.get(kind)
     if row is None:
         raise UsageError(f"unknown measure kind {kind!r}")
     try:
         if row.bound is not None:
-            param = int(param or row.default)
+            param = int(param)
             if not 1 <= param <= row.bound:
                 raise ValueError(f"its size must be in 1..{row.bound}, got {param}")
             _check_run_size(cfg, section.size, row.nodes(param))
@@ -590,7 +594,7 @@ def builtin_grid(n: int, kernel) -> np.ndarray:
 
 
 def make_points(cfg: argparse.Namespace, kernel) -> np.ndarray:
-    src = _kernel_setting(cfg, "points")
+    src = cfg.points
     match = re.fullmatch(r"grid(\d+)", src)
     if match:
         return builtin_grid(_section_size(int(match.group(1))), kernel)
@@ -898,7 +902,7 @@ def main(argv=None) -> int:
         started = time.perf_counter()
         report = run(config)
         note = f"# {config.command} finished in {(time.perf_counter() - started) * 1000.0:.1f} ms"
-        text, out = emit(report, config.fmt), config.out
+        text, out = emit(report, config.format), config.out
         passed = all(v["passed"] for v in report["verdicts"])
         code = EXIT_PASS if passed else EXIT_VERDICT_FAIL
     except SystemExit:  # --help or --version, whose text waits in stdout's buffer

@@ -97,7 +97,7 @@ def test_defaults_resolved():
     assert cfg.kernel == "szego"
     assert cfg.tol == 1e-8
     assert "seed" not in vars(cfg)  # factorize draws no random numbers
-    assert cfg.fmt == "json"
+    assert cfg.format == "json"
 
 
 def test_config_file_merging(tmp_path):
@@ -137,8 +137,29 @@ def test_config_keys_are_long_flag_names(tmp_path, capsys):
     path.write_text(json.dumps({"format": "csv", "parseval-max": 4, "level": 3}))
     assert main(["cantor-onb", "--config", str(path)]) == EXIT_PASS
     assert capsys.readouterr().out.startswith("# report,cantor-onb")
-    path.write_text(json.dumps({"fmt": "csv"}))  # the attribute name is no flag
+    path.write_text(json.dumps({"fmt": "csv"}))  # no flag is named fmt
     assert main(["cantor-onb", "--config", str(path)]) == EXIT_USAGE
+
+
+def test_every_option_stores_under_its_long_flag_name():
+    # the report echoes the namespace, and a config file replays it as long
+    # flags, so an attribute named otherwise (--format stored as fmt) is an
+    # echo key that no config file can give back
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    renamed = {(name, opt): action.dest for name, p in sub.choices.items()
+               for action in p._actions for opt in action.option_strings
+               if opt.startswith("--") and opt != "--help"
+               and action.dest != opt[2:].replace("-", "_")}
+    assert renamed == {}
+
+
+def test_echo_holds_the_kernel_defaults():
+    echo = run(parse_config(["factorize"]))["config"]
+    assert (echo["measure"], echo["points"]) == ("uniform:2048", "grid10")
+    assert "level" not in echo  # szego has no truncation level
+    # a sized kind given without a size runs, and is echoed, at its default size
+    assert parse_config(["carleson", "--measure", "uniform"]).measure == "uniform:2048"
+    assert parse_config(["gp", "--kernel", "cantor4"]).level == 6
 
 
 @pytest.mark.parametrize("argv", [
@@ -776,18 +797,27 @@ def test_full_stderr_keeps_a_passing_report(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+# project is left out: its least-squares coefficients round differently at
+# one thread (ROADMAP small item 1)
 @pytest.mark.parametrize("argv", [
     ["shannon"],
     ["adjoint-roundtrip"],
     ["adjoint-roundtrip", "--kernel", "cantor4", "--measure", "cantor-ifs:14"],
     ["isometry"],
     ["isometry", "--kernel", "bargmann", "--points", "grid30"],
+    ["pd-check"],
+    ["factorize"],
+    ["carleson"],
+    ["gp"],
+    ["cantor-onb"],
+    ["morphism"],
 ], ids=["shannon", "adjoint-roundtrip", "adjoint-roundtrip-cantor4", "isometry",
-        "isometry-bargmann"])
+        "isometry-bargmann", "pd-check", "factorize", "carleson", "gp", "cantor-onb",
+        "morphism"])
 def test_report_bytes_do_not_depend_on_blas_threads(argv):
     # the sums of the first three are reduced by einsum, which does not thread;
-    # isometry forms its Gram matrices by BLAS products, whose bytes must not
-    # change with the thread count either
+    # the other runs form Gram matrices, pencils and covariances by BLAS
+    # products, whose bytes must not change with the thread count either
     reports = set()
     for threads in ("1", "2"):
         done = _spawn(argv, text=False, OPENBLAS_NUM_THREADS=threads)
@@ -908,12 +938,19 @@ def test_adjoint_roundtrip_run(capsys):
     assert code == EXIT_PASS
 
 
-def test_adjoint_roundtrip_cantor_gets_node_measure(capsys):
-    # the node-free exact Cantor default is swapped for an IFS refinement here
+def test_adjoint_roundtrip_cantor_gets_node_measure(tmp_path, capsys):
+    # the node-free exact Cantor default is swapped for an IFS refinement here,
+    # and the echo says so; written back as a config file it replays the run
     code = main(["adjoint-roundtrip", "--kernel", "cantor4", "--points", "grid5",
                  "--seed", "2"])
-    captured = capsys.readouterr()
+    report = capsys.readouterr().out
     assert code == EXIT_PASS
+    config = json.loads(report)["config"]
+    assert (config["measure"], config["level"]) == ("cantor-ifs:10", 6)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({k: v for k, v in config.items() if k != "command"}))
+    assert main(["adjoint-roundtrip", "--config", str(path)]) == EXIT_PASS
+    assert capsys.readouterr().out == report
 
 
 def test_isometry_run(capsys):

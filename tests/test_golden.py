@@ -4,8 +4,9 @@ The files under ``tests/golden/`` are the contract for refactors that promise
 identical output.  Regenerate them only for an intended change of report
 bytes, with ``PYTHONPATH=src python tests/test_golden.py``.  Before it
 overwrites a golden whose bytes changed, it prints whether every verdict kept
-its name and ``passed`` flag, the scalars a JSON report added or removed, and
-the largest absolute change in any number both reports hold.
+its name and ``passed`` flag, the config keys a JSON report added, removed or
+changed, the scalars it added or removed, and the largest absolute change in
+any number both reports hold.
 With ``--check`` it prints the same lines, writes nothing, and exits 1 if any
 golden would change.
 """
@@ -50,7 +51,7 @@ CASES = {
 
 def render(argv) -> str:
     cfg = parse_config(argv)
-    return emit(run(cfg), cfg.fmt)
+    return emit(run(cfg), cfg.format)
 
 
 def stdlib_json(report) -> str:
@@ -63,8 +64,20 @@ def test_report_matches_golden(name):
     expected = (GOLDEN_DIR / name).read_bytes()
     cfg = parse_config(CASES[name])
     report = run(cfg)
-    assert emit(report, cfg.fmt).encode("utf-8") == expected
+    assert emit(report, cfg.format).encode("utf-8") == expected
     assert emit(report, "json") == stdlib_json(report)
+
+
+@pytest.mark.parametrize("name", sorted(name for name in CASES if name.endswith(".json")))
+def test_config_echo_replays_the_golden(name, tmp_path):
+    # the echo is the resolved run: written back without its command as a
+    # config file, it gives the report of the golden's invocation byte for
+    # byte, which test_report_matches_golden holds to the golden itself
+    config = json.loads((GOLDEN_DIR / name).read_text(encoding="utf-8"))["config"]
+    command = config.pop("command")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert render([command, "--config", str(path)]) == render(CASES[name])
 
 
 @pytest.mark.parametrize("argv", [
@@ -137,19 +150,27 @@ def numbers_by_path(node, path: str = "") -> dict:
 
 
 def describe_change(old: str, new: str) -> str:
-    """One line on what a regenerated report changed: verdicts and numbers.
+    """One line on what a regenerated report changed: verdicts, settings and numbers.
 
-    A JSON report names the scalars added and removed and compares the
-    numbers both reports hold at the same path; a CSV report compares its
-    numbers in order, and only when it holds as many as before.
+    A JSON report names the config keys added, removed and changed and the
+    scalars added and removed, and compares the numbers both reports hold at
+    the same path; a CSV report compares its numbers in order, and only when
+    it holds as many as before.
     """
     parts = ["verdict names and flags "
              + ("unchanged" if report_verdicts(old) == report_verdicts(new) else "CHANGED")]
     if old.startswith("{"):
         docs = json.loads(old), json.loads(new)
+        old_config, new_config = (doc["config"] for doc in docs)
+        changed = {key for key in old_config.keys() & new_config.keys()
+                   if old_config[key] != new_config[key]}
         before, after = (set(doc["scalars"]) for doc in docs)
-        parts += [f"scalars {what}: {', '.join(sorted(keys))}"
-                  for what, keys in (("added", after - before), ("removed", before - after)) if keys]
+        parts += [f"{what}: {', '.join(sorted(keys))}" for what, keys in (
+            ("config added", new_config.keys() - old_config.keys()),
+            ("config removed", old_config.keys() - new_config.keys()),
+            ("config changed", changed),
+            ("scalars added", after - before),
+            ("scalars removed", before - after)) if keys]
         a, b = (numbers_by_path(doc) for doc in docs)
         shared = a.keys() & b.keys()
         if len(a) != len(b):
@@ -182,6 +203,13 @@ def test_describe_change_reports_values_and_verdicts():
         "verdict names and flags unchanged; scalars added: covariance_gap; "
         "scalars removed: covariance_defect; largest absolute change 1.000e-03 "
         f"over the {shared} values both share")
+    resized = json.loads(old)
+    resized["config"]["points"] = "grid11"
+    resized["config"]["note"] = "x"
+    del resized["config"]["format"]
+    assert describe_change(old, json.dumps(resized, sort_keys=True, indent=2) + "\n") == (
+        "verdict names and flags unchanged; config added: note; config removed: format; "
+        "config changed: points; largest absolute change 0.000e+00")
     doc["verdicts"][0]["passed"] = False
     flipped = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert describe_change(old, flipped).startswith("verdict names and flags CHANGED")
