@@ -14,6 +14,13 @@ __all__ = [
 # is zero; one below -NEGATIVE_TOL of that scale is a negative direction
 PRUNE_TOL = 1e-12
 NEGATIVE_TOL = 1e-10
+# pencil_eigenvalues keeps the pivots whose squared pivot exceeds PENCIL_TOL of
+# the largest diagonal: below it the rounding of N, divided by the pivot, moves
+# the estimate past 1e-8 on random member sections.  It is the largest cutoff
+# that keeps the golden reports; at 1e-5 the default szego grid10 section
+# loses a direction.  PRUNE_TOL stays tighter, since gp's factor must meet
+# FACTOR_TOL
+PENCIL_TOL = 1e-6
 # require_hermitian: an entrywise gap |A - A^H| above HERMITIAN_TOL of the
 # largest modulus (or one) is not rounding
 HERMITIAN_TOL = 1e-12

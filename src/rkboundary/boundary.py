@@ -17,7 +17,8 @@ from typing import Mapping
 
 import numpy as np
 
-from ._linalg import NotPositiveSemidefiniteError, blocked_sum, pivoted_cholesky, row_blocks
+from ._linalg import (PENCIL_TOL, NotPositiveSemidefiniteError, blocked_sum, pivoted_cholesky,
+                      row_blocks)
 from .kernels import (
     BoundaryExtension,
     Cantor4Kernel,
@@ -57,9 +58,10 @@ class BoundaryMatrix:
     A[i, k] = K^B(s_i, b_k) sqrt(w_k), so the matrix is conj(A) A^T.  On the
     exact Cantor measure it is the power matrix P[i, j] = s_i ** lambda_j over
     the Lambda4 frequencies, and the matrix is P M P^H times the measure's
-    scale, with M the frequency matrix mu_hat(lambda_k - lambda_j).  The
-    matrix is formed on first read, so a caller that reads only the node
-    evaluation (the isometry norms, the projection) never pays for the product.
+    one weight, its mass, with M the frequency matrix mu_hat(lambda_k -
+    lambda_j).  The matrix is formed on first read, so a caller that reads
+    only the node evaluation (the isometry norms, the projection) never pays
+    for the product.
     """
 
     section: Section
@@ -81,7 +83,7 @@ class BoundaryMatrix:
             pm = np.empty(e.shape, dtype=complex)
             for cols, block in lambda4_frequency_columns(self.section.kernel.level):
                 pm[:, cols] = e @ block
-            n = (pm @ e.conj().T) * self.measure.scale
+            n = (pm @ e.conj().T) * self.measure.weights
         else:
             n = np.empty((e.shape[0], e.shape[0]), dtype=complex)
             for rows in row_blocks(*e.shape):
@@ -259,16 +261,22 @@ def pencil_eigenvalues(nmat: np.ndarray, norm_matrix: np.ndarray) -> np.ndarray:
 
     Q is the matrix of the native norm's quadratic form.  Kernel Gram matrices
     are notoriously ill conditioned for clustered points, so the pencil is
-    restricted to the pivots that :func:`pivoted_cholesky` retains.  Their
-    rows of its factor are the Cholesky factor L of the restricted Q = L L^H,
-    which reduces the restricted pencil to the standard Hermitian problem
-    L^-1 N L^-H.
+    restricted to the leading pivots of :func:`pivoted_cholesky` whose squared
+    pivot exceeds ``PENCIL_TOL`` times the largest diagonal entry of Q.  The
+    pivots never increase, so these are a prefix of the elimination, and
+    their rows of its factor are the Cholesky factor L of the restricted
+    Q = L L^H, which reduces the restricted pencil to the standard Hermitian
+    problem L^-1 N L^-H.  A smaller pivot would divide the rounding of N by
+    a direction of Q near zero.
     """
     factor, pivots, rank = pivoted_cholesky(norm_matrix)
     if rank == 0:
         raise NotPositiveSemidefiniteError(
             "norm form is numerically singular; pruning exhausted the section"
         )
+    squared = np.real(np.diag(factor[pivots, :rank])) ** 2
+    rank = int(np.count_nonzero(squared > PENCIL_TOL * np.max(np.real(np.diag(norm_matrix)))))
+    pivots = pivots[:rank]
     low = factor[pivots, :rank]
     half = np.linalg.solve(low, nmat[np.ix_(pivots, pivots)])
     reduced = np.linalg.solve(low, half.conj().T)

@@ -35,6 +35,7 @@ from .boundary import (
 )
 from .gaussian import build_ensemble, covariance_gap, empirical_covariance
 from .kernels import (
+    DEFAULT_PSD_TOL,
     BargmannKernel,
     Cantor4Kernel,
     ExplicitFeatureKernel,
@@ -366,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     command("pd-check", "positive-semidefiniteness of a sampled Gram matrix",
-            tol=1e-10, measure=False)
+            tol=DEFAULT_PSD_TOL, measure=False)
     command("factorize", "boundary factorization defect of a kernel/measure pair", tol=1e-8)
 
     p = command("isometry", "native-vs-boundary norm agreement on random elements",
@@ -519,7 +520,7 @@ def make_measure(cfg: argparse.Namespace, ext, section):
                          "(circle, band, or Cantor atoms)")
     # a sized kind builds a unit measure, which carries the mass --scale gives
     # it; an atomic file gives its own masses, so they are bounded here
-    # (cantor-exact's mass is its scale, which always passes)
+    # (cantor-exact's one weight is --scale, which always passes)
     if row.bound is None:
         with np.errstate(over="ignore"):
             mass = measure.total_mass

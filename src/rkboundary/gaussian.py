@@ -49,15 +49,10 @@ class GaussianEnsemble:
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Batch of section-indexed sample vectors, reproducible from (seed, count)."""
+    """Batch of section-indexed sample vectors, one per row, reproducible from
+    the ensemble's seed and the row count."""
 
     samples: np.ndarray
-    seed: int
-    complex_valued: bool
-
-    @property
-    def count(self) -> int:
-        return int(self.samples.shape[0])
 
 
 def build_ensemble(section: Section, seed: int) -> GaussianEnsemble:
@@ -102,11 +97,7 @@ def sample(ensemble: GaussianEnsemble, count: int) -> SampleBatch:
         z /= np.sqrt(2.0)
     else:
         z = rng.standard_normal((count, n))
-    return SampleBatch(
-        samples=z @ ensemble.factor.T,
-        seed=ensemble.seed,
-        complex_valued=ensemble.complex_valued,
-    )
+    return SampleBatch(z @ ensemble.factor.T)
 
 
 def empirical_covariance(ensemble: GaussianEnsemble, count: int) -> np.ndarray:

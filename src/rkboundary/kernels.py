@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._linalg import NotPositiveSemidefiniteError, blocked_sum, require_hermitian
+from ._linalg import blocked_sum, require_hermitian
 from .reconstruct import MAX_LAMBDA_LEVEL
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "BargmannKernel",
     "Cantor4Kernel",
     "SincKernel",
-    "ExplicitGramKernel",
     "ExplicitFeatureKernel",
     "BoundaryExtension",
     "CircleExtension",
@@ -240,35 +239,6 @@ class SincKernel(Kernel):
 
     def boundary_extension(self):
         return SincBandExtension(self)
-
-
-@dataclass(frozen=True, eq=False)
-class ExplicitGramKernel(Kernel):
-    """Kernel backed by an explicit Hermitian PSD matrix over integer indices."""
-
-    matrix: np.ndarray
-
-    name = "explicit-gram"
-    domain = "index"
-
-    def __post_init__(self):
-        m = require_hermitian(self.matrix, what="kernel matrix")
-        verdict = pd_check(m)
-        if not verdict.passed:
-            raise NotPositiveSemidefiniteError(
-                f"kernel matrix has eigenvalue {verdict.min_eigenvalue:.3e}"
-            )
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def is_real(self) -> bool:  # type: ignore[override]
-        return bool(np.all(self.matrix.imag == 0))
-
-    def validate_points(self, points):
-        return _index_points(points, self.matrix.shape[0])
-
-    def _eval(self, s, t):
-        return self.matrix[s, t]
 
 
 @dataclass(frozen=True, eq=False)

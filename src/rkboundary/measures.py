@@ -5,7 +5,8 @@ integrands), the plane gets tensor Gauss-Hermite against the standard complex
 Gaussian, the frequency band gets Gauss-Legendre, and the quarter-Cantor
 measure comes in two flavors: a finite iterated-function-system refinement
 with 2^depth equal atoms, and a node-free "exact" handle whose integrals are
-evaluated through the measure's Fourier transform.
+evaluated through the measure's Fourier transform.  Every measure holds its
+mass in its weights, the exact handle in a single 0-d weight.
 """
 
 from __future__ import annotations
@@ -37,19 +38,16 @@ class QuadMeasure:
     """A boundary measure realized by quadrature nodes and positive weights.
 
     The quadrature constructors build unit-mass measures, and
-    :func:`scale_measure` is the one place a measure is scaled.  The exact
-    Cantor handle has no nodes and carries its mass in ``scale``; everything
-    else stores weights with the scale factor folded in.
+    :func:`scale_measure` is the one place a measure is scaled.  The mass
+    lives in the weights: the exact Cantor handle has no nodes and one 0-d
+    weight that holds its mass.
     """
 
     nodes: np.ndarray | None
-    weights: np.ndarray | None
-    scale: float = 1.0
+    weights: np.ndarray
 
     @property
     def total_mass(self) -> float:
-        if self.weights is None:
-            return float(self.scale)
         return float(np.sum(self.weights))
 
 
@@ -127,24 +125,26 @@ def atomic(nodes, weights) -> QuadMeasure:
 def cantor_exact() -> QuadMeasure:
     """Node-free handle for the true quarter-Cantor measure.
 
-    Integrals against it are evaluated through :func:`cantor4_fourier`; see
-    the boundary module for the code paths that accept it.
+    Its weight is a 0-d array that holds its mass, one.  Integrals against it
+    are evaluated through :func:`cantor4_fourier`; see the boundary module
+    for the code paths that accept it.
     """
-    return QuadMeasure(None, None)
+    return QuadMeasure(None, np.array(1.0))
 
 
 def scale_measure(measure: QuadMeasure, alpha: float) -> QuadMeasure:
-    """Multiply all weights by alpha > 0 (Carleson constants scale the same way).
+    """Multiply all weights by alpha > 0 (Carleson constants scale the same way),
+    the exact Cantor handle's one weight included.
 
     Raises ValueError when a scaled weight overflows to infinity.
     """
     if not alpha > 0:
         raise ValueError("scale factor must be positive")
     with np.errstate(over="ignore"):
-        weights = None if measure.weights is None else measure.weights * alpha
-    if weights is not None and not np.all(np.isfinite(weights)):
+        weights = measure.weights * alpha
+    if not np.all(np.isfinite(weights)):
         raise ValueError(f"scaling by {alpha!r} overflows a weight")
-    return dataclasses.replace(measure, weights=weights, scale=measure.scale * alpha)
+    return dataclasses.replace(measure, weights=weights)
 
 
 def cantor4_fourier(t):
@@ -190,14 +190,10 @@ def pushforward(measure: QuadMeasure, atom_map: Mapping) -> QuadMeasure:
     if measure.nodes is None:
         raise ValueError("pushforward needs an atomic measure")
     masses: dict = {}
-    order: list = []
     for node, w in zip(measure.nodes.tolist(), measure.weights.tolist()):
         try:
             image = atom_map[node]
         except KeyError:
             raise ValueError(f"atom map is not total: no image for {node!r}") from None
-        if image not in masses:
-            masses[image] = 0.0
-            order.append(image)
-        masses[image] += w
-    return atomic(order, [masses[a] for a in order])
+        masses[image] = masses.get(image, 0.0) + w
+    return atomic(list(masses), list(masses.values()))

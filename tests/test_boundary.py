@@ -55,7 +55,7 @@ from rkboundary import (
     pushforward,
     scale_measure,
 )
-from rkboundary._linalg import BLOCK_BYTES, row_blocks
+from rkboundary._linalg import BLOCK_BYTES, PENCIL_TOL, row_blocks
 
 
 def szego_setup(n=6, nodes=2048):
@@ -151,8 +151,9 @@ def test_check_pair_refuses_an_extension_of_another_kernel():
 
 @pytest.mark.parametrize("level", range(1, 12))
 def test_exact_cantor_gram_matches_one_shot(level):
-    # N = (P M) P^H scale, with P M formed one column block of M at a time
-    # (16 blocks at level 11), keeps every bit of the one-shot product
+    # N = (P M) P^H times the measure's one weight, with P M formed one column
+    # block of M at a time (16 blocks at level 11), keeps every bit of the
+    # one-shot product
     kernel = Cantor4Kernel(level=level)
     mu = scale_measure(cantor_exact(), 3.0)
     lam = lambda4_set(level)
@@ -607,9 +608,17 @@ def random_pencil(rng, n, cond):
 @pytest.mark.parametrize("cond", [1e2, 1e8])
 def test_pencil_matches_high_precision_oracle(n, cond):
     nmat, qmat = random_pencil(np.random.default_rng([n, int(np.log10(cond))]), n, cond)
-    expected = pencil_oracle(nmat, qmat)
+    # the pencil keeps the leading pivots whose squared pivot exceeds
+    # PENCIL_TOL of the largest diagonal: all of them at condition 1e2, and
+    # not the smallest at 1e8
+    factor, pivots, _ = pivoted_cholesky(qmat)
+    squared = np.abs(factor[pivots, np.arange(pivots.size)]) ** 2
+    kept = pivots[squared > PENCIL_TOL * np.max(np.real(np.diag(qmat)))]
+    assert (kept.size == n) == (cond < 1e6)
+    retained = np.ix_(kept, kept)
+    expected = pencil_oracle(nmat[retained], qmat[retained])
     got = pencil_eigenvalues(nmat, qmat)
-    assert got.shape == (n,)  # nothing pruned: the oracle solves the same pencil
+    assert got.shape == (kept.size,)
     assert np.max(np.abs(got - expected)) <= cond * 1e-15 * np.max(np.abs(expected))
 
 
@@ -666,6 +675,24 @@ def test_pruned_pencil_matches_oracle_on_retained_pivots(n, rank):
     assert got.shape == (rank,)
     cond = np.linalg.cond(qmat[retained])
     assert np.max(np.abs(got - expected)) <= cond * 1e-15 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("kernel, measure, draw, sizes", [
+    (SzegoKernel(), periodic_uniform(4096), disk_points, (20, 40, 60)),
+    (SincKernel(), band_gauss_legendre(400), line_points, (20, 40, 60)),
+    (BargmannKernel(), gauss_hermite_plane(64), plane_points, (20, 40, 60)),
+    (Cantor4Kernel(level=8), cantor_exact(), disk_points, (8, 16)),
+], ids=["szego", "sinc", "bargmann", "cantor4"])
+def test_carleson_estimate_is_one_on_random_member_sections(kernel, measure, draw, sizes):
+    # nested prefixes of uniform random points, whose norm forms have
+    # directions far below PENCIL_TOL; a pencil that keeps them divides N's
+    # rounding by them and misses 1 by up to 3.5e-4 here
+    ext = kernel.boundary_extension()
+    for seed in (61, 62):
+        points = draw(np.random.default_rng(seed), max(sizes))
+        for n in sizes:
+            report = membership_defect(ext, measure, build_section(kernel, points[:n]))
+            assert abs(report.carleson_constant - 1.0) <= 1e-8, (seed, n)
 
 
 # -- projections ------------------------------------------------------------

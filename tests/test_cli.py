@@ -664,14 +664,10 @@ def test_scale_applied_once_to_the_unit_measure(kernel, measure, tmp_path):
         return make_measure(cfg, kern.boundary_extension(), build_section(kern, []))
 
     unit, tripled = built("1"), built("3")
-    if unit.weights is None:
-        assert tripled.weights is None
-        assert tripled.total_mass == 3.0 * unit.total_mass == 3.0
-    else:
-        assert np.array_equal(tripled.nodes, unit.nodes)
-        assert np.array_equal(tripled.weights, 3.0 * unit.weights)
-        assert tripled.total_mass == pytest.approx(3.0 * unit.total_mass, rel=1e-15)
-        assert unit.total_mass == pytest.approx(1.0, rel=1e-14)
+    assert np.array_equal(tripled.nodes, unit.nodes)  # cantor-exact: both None
+    assert np.array_equal(tripled.weights, 3.0 * unit.weights)
+    assert tripled.total_mass == pytest.approx(3.0 * unit.total_mass, rel=1e-15)
+    assert unit.total_mass == pytest.approx(1.0, rel=1e-14)
 
 
 def test_scaled_atomic_weight_overflow_is_usage_error(tmp_path, capsys):

@@ -10,25 +10,28 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import rkboundary
 from rkboundary import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_spans(monkeypatch):
-    """bench/spans.py, loaded by path: the benchmark is not a package."""
-    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
-    spec.loader.exec_module(spans)
-    return spans
+def load_bench(monkeypatch, stem):
+    """bench/<stem>.py, loaded by path as the top-level module ``stem``: the
+    benchmark is not a package, and its modules import each other by stem."""
+    spec = importlib.util.spec_from_file_location(stem, ROOT / "bench" / f"{stem}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_bench_tracer_targets_resolve(monkeypatch):
     # bench/spans.py wraps these by name; a deleted or renamed one breaks the
     # traced benchmark run, whose own tests sit outside this suite
-    spans = load_spans(monkeypatch)
+    spans = load_bench(monkeypatch, "spans")
     assert spans.PACKAGE == rkboundary.__name__
     missing = [f"{module}.{attr}" for module, attr, _, _ in spans.TARGETS
                if not callable(getattr(importlib.import_module(f"rkboundary.{module}"),
@@ -40,7 +43,7 @@ def test_bench_tracer_targets_resolve(monkeypatch):
 def test_traced_subcommands_close_spans_and_count(monkeypatch, tmp_path):
     # the counters read the traced functions' arguments and results, so a
     # changed signature or return type fails here, not only in a traced run
-    spans = load_spans(monkeypatch)
+    spans = load_bench(monkeypatch, "spans")
     counted = {name for _, _, name, counter in spans.TARGETS if counter is not None}
     counted.add("kernels.extension")
     recorder = spans.Recorder()
@@ -61,6 +64,22 @@ def test_traced_subcommands_close_spans_and_count(monkeypatch, tmp_path):
     assert built == {"factorize", "isometry", "carleson", "adjoint-roundtrip", "project",
                      "morphism"}
     json.dumps(recorder.dump())
+
+
+@pytest.mark.parametrize("seed, op_id", [(20, 64), (30, 50)])
+def test_cantor_exact_carleson_operations_pass_the_oracle(monkeypatch, tmp_path, seed, op_id):
+    # two separated 8-point cantor4 sections of the benchmark's cantor-exact
+    # schedule, whose estimates missed 1 by 2.4e-6 and 1.4e-8 while the pencil
+    # kept every pivot of norm forms of condition 1.3e11 and 3.1e8, dividing
+    # N's rounding by their smallest directions
+    workloads = load_bench(monkeypatch, "workloads")
+    oracle = load_bench(monkeypatch, "oracle")
+    op = workloads.WORKLOADS["cantor-exact"].op(seed, op_id)
+    assert op.command == "carleson"
+    workloads.write_inputs([op], tmp_path)
+    code = cli.main(op.argv(tmp_path))
+    report = op.out_path(tmp_path).read_text(encoding="utf-8")
+    assert [problem.text for problem in oracle.check(op, code, report)] == []
 
 
 def test_package_exports_each_module_list_once():

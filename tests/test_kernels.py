@@ -11,7 +11,6 @@ from rkboundary import (
     Cantor4Kernel,
     DomainError,
     ExplicitFeatureKernel,
-    ExplicitGramKernel,
     NotHermitianError,
     NotPositiveSemidefiniteError,
     SectionError,
@@ -237,24 +236,6 @@ def test_sampled_grams_are_psd(rng):
         assert verdict.passed, (kernel.name, verdict)
 
 
-def test_explicit_gram_kernel_requires_psd():
-    with pytest.raises(Exception):
-        ExplicitGramKernel(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    k = ExplicitGramKernel(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert k(0, 1) == 1.0
-
-
-def test_explicit_gram_kernel_applies_the_pd_check_threshold():
-    # eigenvalue -5e-11 at diagonal 1e-6: -5e-5 relative, far below pd_check's
-    # -1e-10 relative threshold, so build_section would refuse the same matrix
-    tiny = 1e-6 * np.array([[1.0, 1.00005], [1.00005, 1.0]])
-    assert not pd_check(tiny).passed
-    with pytest.raises(NotPositiveSemidefiniteError, match="kernel matrix has eigenvalue"):
-        ExplicitGramKernel(tiny)
-    ExplicitGramKernel(np.zeros((1, 1)))
-    ExplicitGramKernel(1e-6 * np.eye(2))
-
-
 # -- pd_check ---------------------------------------------------------------
 
 def test_pd_check_identity():
@@ -266,6 +247,10 @@ def test_pd_check_indefinite():
     verdict = pd_check(np.array([[1.0, 2.0], [2.0, 1.0]]))
     assert not verdict.passed
     assert verdict.min_eigenvalue == pytest.approx(-1.0, abs=1e-12)
+    # eigenvalue -5e-11 at diagonal 1e-6: -5e-5 relative, far below the
+    # -1e-10 relative threshold, although tiny in absolute terms
+    tiny = 1e-6 * np.array([[1.0, 1.00005], [1.00005, 1.0]])
+    assert not pd_check(tiny).passed
 
 
 def test_pd_check_rejects_non_hermitian():

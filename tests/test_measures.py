@@ -201,6 +201,10 @@ def test_pushforward_identity_and_pairing():
     assert paired.nodes.tolist() == [0, 1]
     assert paired.weights.tolist() == [0.5, 0.5]
     assert paired.total_mass == mu.total_mass
+    # image atoms keep the order in which they first appear, not sorted order
+    crossed = pushforward(mu, {0: 1, 1: 0, 2: 1, 3: 0})
+    assert crossed.nodes.tolist() == [1, 0]
+    assert crossed.weights.tolist() == [0.5, 0.5]
 
 
 def test_pushforward_collapse_and_totality():
